@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet vet-full test race scvet lint witness fuzz-burst smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos chaos-grid soak bench-serve bench-grid bench-hist bench-tier bench-mc bench-all clean
+.PHONY: tier1 build vet vet-full test race race-scratch scvet lint witness fuzz-burst smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos chaos-grid soak bench-serve bench-grid bench-hist bench-tier bench-mc bench-all clean
 
-tier1: build vet-full race witness smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos fuzz-burst
+tier1: build vet-full race race-scratch witness smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos fuzz-burst
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,16 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# race-scratch: the model checker's per-worker scratch stepping under the
+# race detector, repeated — the fast-path-vs-slow-path differential tests
+# (scratch step vs Product.Step, in-place replay vs chained Step, CopyFrom
+# vs Clone for checker and observer) and the worker-count invariance of
+# the state count (on its -short space).
+race-scratch:
+	$(GO) test -race -short -count=3 -run='TestScratchStepMatchesProductStep|TestReplayProductMatchesChainedStep|TestVerifyDeterministicStateCount' ./internal/mc
+	$(GO) test -race -count=3 -run='TestCopyFromMatchesClone' ./internal/checker
+	$(GO) test -race -count=3 -run='TestObserverCopyFromMatchesClone' ./internal/observer
 
 # scvet: the repo's own soundness analyzers (map order in encodings,
 # clone completeness, lock discipline, wire-flag hygiene, verdict
@@ -47,6 +57,7 @@ FUZZTIME ?= 5s
 
 fuzz-burst:
 	$(GO) test -run='^$$' -fuzz=FuzzCheckerAgainstOffline -fuzztime=$(FUZZTIME) ./internal/checker
+	$(GO) test -run='^$$' -fuzz=FuzzCopyFromMatchesClone -fuzztime=$(FUZZTIME) ./internal/checker
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=$(FUZZTIME) ./internal/descriptor
 	$(GO) test -run='^$$' -fuzz=FuzzTrackerAndDecode -fuzztime=$(FUZZTIME) ./internal/descriptor
 	$(GO) test -run='^$$' -fuzz=FuzzDecoder -fuzztime=$(FUZZTIME) ./internal/descriptor

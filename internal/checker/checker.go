@@ -111,6 +111,9 @@ type Checker struct {
 	witness  bool
 
 	rejected error
+
+	// pool is the reusable storage of a CopyFrom destination; nil otherwise.
+	pool *scratch // not copied: destination-owned
 }
 
 // New returns a checker for k-graph descriptors.
@@ -160,7 +163,12 @@ func (c *Checker) EnableWitness() *Checker {
 func (c *Checker) proc(p trace.ProcID) *procState {
 	ps, ok := c.procs[p]
 	if !ok {
-		ps = &procState{}
+		if c.pool == nil {
+			ps = &procState{}
+		} else {
+			ps = c.pool.procs.get()
+			*ps = procState{}
+		}
 		c.procs[p] = ps
 	}
 	return ps
@@ -169,7 +177,12 @@ func (c *Checker) proc(p trace.ProcID) *procState {
 func (c *Checker) block(b trace.BlockID) *blockState {
 	bs, ok := c.blocks[b]
 	if !ok {
-		bs = &blockState{}
+		if c.pool == nil {
+			bs = &blockState{}
+		} else {
+			bs = c.pool.blocks.get()
+			*bs = blockState{}
+		}
 		c.blocks[b] = bs
 	}
 	return bs
@@ -197,22 +210,19 @@ func (c *Checker) Step(sym descriptor.Symbol) error {
 		if err := c.releaseID(v.ID); err != nil {
 			return err
 		}
-		r := &rec{seq: c.seq, op: *v.Op, active: true, idCount: 1}
+		store := v.Op.IsStore()
+		r := c.newRec(rec{seq: c.seq, op: *v.Op, active: true, idCount: 1}, !store, store)
 		c.seq++
 		c.owner[v.ID] = r
 		c.proc(r.op.Proc).seen = true
-		if r.op.IsStore() {
+		if store {
 			c.block(r.op.Block).stores = true
-			r.pending = make(map[trace.ProcID]*oblig)
-		} else {
-			r.forcedTo = make(map[*rec]bool)
-			if r.op.Value == trace.Bottom {
-				key := [2]int{int(r.op.Proc), int(r.op.Block)}
-				// The newest ⊥-load takes over the (P,B) obligation; the
-				// previous carrier is discharged through the program-order
-				// path to this one.
-				c.bottoms[key] = &bottomOblig{load: r, targets: make(map[*rec]bool)}
-			}
+		} else if r.op.Value == trace.Bottom {
+			key := [2]int{int(r.op.Proc), int(r.op.Block)}
+			// The newest ⊥-load takes over the (P,B) obligation; the
+			// previous carrier is discharged through the program-order
+			// path to this one.
+			c.bottoms[key] = c.newBottom(r)
 		}
 	case descriptor.AddID:
 		if v.Existing == v.New {

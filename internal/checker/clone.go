@@ -21,18 +21,22 @@ func (c *Checker) Clone() *Checker {
 		stepping: c.stepping,
 		witness:  c.witness,
 		rejected: c.rejected,
+		pool:     nil, // clones are compact: no scratch storage
 	}
 
-	// Copy the rec graph, memoizing so shared pointers stay shared.
-	recMap := make(map[*rec]*rec)
+	// Copy the rec graph, memoizing so shared pointers stay shared. The
+	// memos start on the stack and switch to maps past linearMemo entries.
+	var recSrcBuf, recDstBuf [linearMemo]*rec
+	recMemo := ptrMemo[rec]{src: recSrcBuf[:0], dst: recDstBuf[:0]}
+	var obSrcBuf, obDstBuf [linearMemo]*oblig
+	obMemo := ptrMemo[oblig]{src: obSrcBuf[:0], dst: obDstBuf[:0]}
 	var copyRec func(r *rec) *rec
-	obMap := make(map[*oblig]*oblig)
 	var copyOb func(ob *oblig) *oblig
 	copyRec = func(r *rec) *rec {
 		if r == nil {
 			return nil
 		}
-		if cp, ok := recMap[r]; ok {
+		if cp := recMemo.get(r); cp != nil {
 			return cp
 		}
 		cp := &rec{
@@ -40,7 +44,7 @@ func (c *Checker) Clone() *Checker {
 			poIn: r.poIn, poOut: r.poOut,
 			stIn: r.stIn, stOut: r.stOut, inhIn: r.inhIn,
 		}
-		recMap[r] = cp
+		recMemo = recMemo.put(r, cp)
 		cp.inhFrom = copyRec(r.inhFrom)
 		cp.stSucc = copyRec(r.stSucc)
 		cp.poNext = copyRec(r.poNext)
@@ -62,11 +66,11 @@ func (c *Checker) Clone() *Checker {
 		if ob == nil {
 			return nil
 		}
-		if cp, ok := obMap[ob]; ok {
+		if cp := obMemo.get(ob); cp != nil {
 			return cp
 		}
 		cp := &oblig{proc: ob.proc, done: ob.done}
-		obMap[ob] = cp
+		obMemo = obMemo.put(ob, cp)
 		cp.store = copyRec(ob.store)
 		cp.load = copyRec(ob.load)
 		cp.target = copyRec(ob.target)

@@ -1,6 +1,8 @@
 package checker
 
 import (
+	"slices"
+
 	"scverify/internal/descriptor"
 	"scverify/internal/graph"
 	"scverify/internal/trace"
@@ -102,7 +104,7 @@ func (c *Checker) onInheritance(a, b *rec) error {
 	if old, ok := a.pending[b.op.Proc]; ok {
 		delete(c.armed, old)
 	}
-	ob := &oblig{store: a, proc: b.op.Proc, load: b}
+	ob := c.newOblig(oblig{store: a, proc: b.op.Proc, load: b})
 	a.pending[b.op.Proc] = ob
 	if a.stSucc != nil {
 		ob.target = a.stSucc
@@ -275,7 +277,9 @@ func (c *Checker) Finish() error {
 			return c.reject(Constraint4, []trace.Op{r.op}, "constraint 4: load %s has no inheritance edge at end of run", r.op)
 		}
 	}
-	for p, ps := range c.procs {
+	var procBuf [16]trace.ProcID
+	for _, p := range inOrder(c.procs, procBuf[:0], cmpID[trace.ProcID]) {
+		ps := c.procs[p]
 		if !ps.seen {
 			continue
 		}
@@ -283,7 +287,9 @@ func (c *Checker) Finish() error {
 			return c.reject(Constraint2, nil, "constraint 2: processor P%d has %d first / %d last operations, want 1/1", p, ps.srcFinal, ps.snkFinal)
 		}
 	}
-	for b, bs := range c.blocks {
+	var blockBuf [16]trace.BlockID
+	for _, b := range inOrder(c.blocks, blockBuf[:0], cmpID[trace.BlockID]) {
+		bs := c.blocks[b]
 		if !bs.stores {
 			continue
 		}
@@ -291,12 +297,12 @@ func (c *Checker) Finish() error {
 			return c.reject(Constraint3, nil, "constraint 3: block B%d has %d first / %d last stores, want 1/1", b, bs.srcFinal, bs.snkFinal)
 		}
 	}
-	for ob := range c.armed {
-		if !ob.done {
-			return c.reject(Constraint5a, []trace.Op{ob.load.op, ob.target.op}, "constraint 5a: load %s never produced a forced edge to %s", ob.load.op, ob.target.op)
-		}
+	if ob := c.firstUndischarged(); ob != nil {
+		return c.reject(Constraint5a, []trace.Op{ob.load.op, ob.target.op}, "constraint 5a: load %s never produced a forced edge to %s", ob.load.op, ob.target.op)
 	}
-	for key, bo := range c.bottoms {
+	var bottomBuf [16][2]int
+	for _, key := range inOrder(c.bottoms, bottomBuf[:0], cmpPair) {
+		bo := c.bottoms[key]
 		b := trace.BlockID(key[1])
 		bs := c.blocks[b]
 		if bs == nil || !bs.stores {
@@ -358,28 +364,30 @@ func (c *Checker) FinishDry() error {
 			return dryReject(Constraint4, []trace.Op{r.op}, "constraint 4: load %s has no inheritance edge at end of run", r.op)
 		}
 	}
-	for p, ps := range c.procs {
-		if !ps.seen {
+	var procBuf [16]trace.ProcID
+	for _, p := range inOrder(c.procs, procBuf[:0], cmpID[trace.ProcID]) {
+		if !c.procs[p].seen {
 			continue
 		}
 		if pc := procs[p]; pc.src != 1 || pc.snk != 1 {
 			return dryReject(Constraint2, nil, "constraint 2: processor P%d has %d first / %d last operations, want 1/1", p, pc.src, pc.snk)
 		}
 	}
-	for b, bs := range c.blocks {
-		if !bs.stores {
+	var blockBuf [16]trace.BlockID
+	for _, b := range inOrder(c.blocks, blockBuf[:0], cmpID[trace.BlockID]) {
+		if !c.blocks[b].stores {
 			continue
 		}
 		if bc := blocks[b]; bc.src != 1 || bc.snk != 1 {
 			return dryReject(Constraint3, nil, "constraint 3: block B%d has %d first / %d last stores, want 1/1", b, bc.src, bc.snk)
 		}
 	}
-	for ob := range c.armed {
-		if !ob.done {
-			return dryReject(Constraint5a, []trace.Op{ob.load.op, ob.target.op}, "constraint 5a: load %s never produced a forced edge to %s", ob.load.op, ob.target.op)
-		}
+	if ob := c.firstUndischarged(); ob != nil {
+		return dryReject(Constraint5a, []trace.Op{ob.load.op, ob.target.op}, "constraint 5a: load %s never produced a forced edge to %s", ob.load.op, ob.target.op)
 	}
-	for key, bo := range c.bottoms {
+	var bottomBuf [16][2]int
+	for _, key := range inOrder(c.bottoms, bottomBuf[:0], cmpPair) {
+		bo := c.bottoms[key]
 		b := trace.BlockID(key[1])
 		bs := c.blocks[b]
 		if bs == nil || !bs.stores {
@@ -394,6 +402,34 @@ func (c *Checker) FinishDry() error {
 		}
 	}
 	return nil
+}
+
+// inOrder appends m's keys to buf in cmp order, so end-of-stream checks
+// report the same violation whatever the map iteration order.
+func inOrder[K comparable, V any](m map[K]V, buf []K, cmp func(a, b K) int) []K {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.SortFunc(buf, cmp)
+	return buf
+}
+
+func cmpID[T trace.ProcID | trace.BlockID](a, b T) int { return int(a - b) }
+
+// firstUndischarged returns the undischarged armed obligation whose carrier
+// load, then target store, is oldest, or nil when all are discharged.
+func (c *Checker) firstUndischarged() *oblig {
+	var first *oblig
+	for ob := range c.armed {
+		if ob.done {
+			continue
+		}
+		if first == nil || ob.load.seq < first.load.seq ||
+			ob.load.seq == first.load.seq && ob.target.seq < first.target.seq {
+			first = ob
+		}
+	}
+	return first
 }
 
 // Check runs a fresh checker over the whole stream, including Finish.

@@ -19,23 +19,7 @@ func FuzzCheckerAgainstOffline(f *testing.F) {
 
 	const k = 4
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var s descriptor.Stream
-		for i := 0; i+2 < len(data) && len(s) < 48; i += 3 {
-			id := int(data[i]%(k+1)) + 1
-			id2 := int(data[i+1]%(k+1)) + 1
-			switch data[i+2] % 4 {
-			case 0:
-				op := trace.ST(trace.ProcID(data[i]%2+1), trace.BlockID(data[i+1]%2+1), trace.Value(data[i+2]%2+1))
-				s = append(s, descriptor.Node{ID: id, Op: &op})
-			case 1:
-				op := trace.LD(trace.ProcID(data[i]%2+1), trace.BlockID(data[i+1]%2+1), trace.Value(data[i+2]%3))
-				s = append(s, descriptor.Node{ID: id, Op: &op})
-			case 2:
-				s = append(s, descriptor.Edge{From: id, To: id2, Label: descriptor.EdgeLabel(data[i+2] % 8)})
-			default:
-				s = append(s, descriptor.AddID{Existing: id, New: id2})
-			}
-		}
+		s := fuzzStream(data, k)
 
 		streaming := Check(s, k) == nil
 
@@ -57,4 +41,27 @@ func FuzzCheckerAgainstOffline(f *testing.F) {
 				cycOK, decOK, s.Text())
 		}
 	})
+}
+
+// fuzzStream decodes fuzzer bytes into a well-typed k-graph symbol stream
+// of at most 48 symbols, three bytes per symbol.
+func fuzzStream(data []byte, k int) descriptor.Stream {
+	var s descriptor.Stream
+	for i := 0; i+2 < len(data) && len(s) < 48; i += 3 {
+		id := int(data[i]%byte(k+1)) + 1
+		id2 := int(data[i+1]%byte(k+1)) + 1
+		switch data[i+2] % 4 {
+		case 0:
+			op := trace.ST(trace.ProcID(data[i]%2+1), trace.BlockID(data[i+1]%2+1), trace.Value(data[i+2]%2+1))
+			s = append(s, descriptor.Node{ID: id, Op: &op})
+		case 1:
+			op := trace.LD(trace.ProcID(data[i]%2+1), trace.BlockID(data[i+1]%2+1), trace.Value(data[i+2]%3))
+			s = append(s, descriptor.Node{ID: id, Op: &op})
+		case 2:
+			s = append(s, descriptor.Edge{From: id, To: id2, Label: descriptor.EdgeLabel(data[i+2] % 8)})
+		default:
+			s = append(s, descriptor.AddID{Existing: id, New: id2})
+		}
+	}
+	return s
 }

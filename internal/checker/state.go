@@ -2,7 +2,7 @@ package checker
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"scverify/internal/trace"
 )
@@ -25,280 +25,313 @@ func (c *Checker) StateKey() []byte {
 // source is an observer whose program-order edges respect trace order by
 // construction, so ages cannot influence acceptance.
 func (c *Checker) StateKeyRenamed(rename []int) []byte {
+	return c.AppendStateKeyRenamed(nil, rename)
+}
+
+// AppendStateKeyRenamed appends StateKeyRenamed(rename) to dst. It builds
+// no maps and, for states of up to 64 nodes, allocates nothing beyond
+// growing dst: the canonical numbering lives in stack-backed slices and
+// every ordering is a sort of a small slice.
+func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 	if c.rejected != nil {
-		return []byte{0xff}
+		return append(dst, 0xff)
 	}
-	mapID := func(id int) int {
-		if rename == nil {
-			return id
-		}
-		return rename[id]
-	}
+	var activeBuf, retiredBuf [64]*rec
+	var minBuf [64]int
+	actives, minIDs, retired := activeBuf[:0], minBuf[:0], retiredBuf[:0]
 
 	// Canonical node numbering: active nodes first, ordered by minimum
 	// (renamed) ID; then retired nodes referenced by live obligations,
 	// ordered by relative age.
-	type namedRec struct {
-		r     *rec
-		minID int
-	}
-	var actives []namedRec
-	minID := make(map[*rec]int, len(c.owner))
 	for id := 1; id <= c.k+1; id++ {
 		r := c.owner[id]
 		if r == nil {
 			continue
 		}
-		m := mapID(id)
-		if cur, ok := minID[r]; !ok || m < cur {
-			minID[r] = m
+		m := mapID(rename, id)
+		if i := indexOf(actives, r); i < 0 {
+			actives = append(actives, r)
+			minIDs = append(minIDs, m)
+		} else if m < minIDs[i] {
+			minIDs[i] = m
 		}
 	}
-	for r, m := range minID {
-		actives = append(actives, namedRec{r: r, minID: m})
-	}
-	sort.Slice(actives, func(i, j int) bool { return actives[i].minID < actives[j].minID })
-
-	cid := make(map[*rec]int)
-	for i, nr := range actives {
-		cid[nr.r] = i + 1
-	}
-	var retired []*rec
-	addRetired := func(r *rec) {
-		if r == nil {
-			return
-		}
-		if _, ok := cid[r]; ok {
-			return
-		}
-		cid[r] = -1 // placeholder; renumbered below
-		retired = append(retired, r)
-	}
-	for ob := range c.armed {
-		addRetired(ob.store)
-		addRetired(ob.load)
-		addRetired(ob.target)
-	}
-	for _, bo := range c.bottoms {
-		addRetired(bo.load)
-		for t := range bo.targets {
-			addRetired(t)
+	for i := 1; i < len(actives); i++ {
+		for j := i; j > 0 && minIDs[j] < minIDs[j-1]; j-- {
+			actives[j], actives[j-1] = actives[j-1], actives[j]
+			minIDs[j], minIDs[j-1] = minIDs[j-1], minIDs[j]
 		}
 	}
-	for _, bs := range c.blocks {
-		addRetired(bs.orphan)
-	}
-	for _, nr := range actives {
-		for _, ob := range nr.r.pending {
-			addRetired(ob.load)
-			addRetired(ob.target)
+	// Retired records need canonical numbers only in the adversarial key:
+	// in renamed (product) mode they appear solely as structural
+	// fingerprints at their reference sites.
+	if rename == nil {
+		for ob := range c.armed {
+			retired = addRetired(retired, actives, ob.store, ob.load, ob.target)
 		}
-		for t := range nr.r.forcedTo {
-			addRetired(t)
-		}
-		addRetired(nr.r.inhFrom)
-		addRetired(nr.r.stSucc)
-	}
-	sort.Slice(retired, func(i, j int) bool { return retired[i].seq < retired[j].seq })
-	for i, r := range retired {
-		cid[r] = len(actives) + i + 1
-	}
-
-	// fingerprint compresses a retired record into a structural signature:
-	// used in renamed (product) mode, where a retired node's identity can
-	// no longer influence acceptance of observer-generated futures — only
-	// its shape can (see StateKeyRenamed).
-	fingerprint := func(r *rec) uint64 {
-		f := uint64(1) << 40
-		f |= uint64(r.op.Kind) << 36
-		f |= uint64(r.op.Proc) << 28
-		f |= uint64(r.op.Block) << 20
-		f |= uint64(r.op.Value) << 12
-		for i, b := range []bool{r.poIn, r.poOut, r.stIn, r.stOut, r.inhIn} {
-			if b {
-				f |= uint64(1) << i
+		for _, bo := range c.bottoms {
+			retired = addRetired(retired, actives, bo.load)
+			for t := range bo.targets {
+				retired = addRetired(retired, actives, t)
 			}
 		}
-		return f
-	}
-
-	ref := func(r *rec) uint64 {
-		if r == nil {
-			return 0
+		for _, bs := range c.blocks {
+			retired = addRetired(retired, actives, bs.orphan)
 		}
-		if rename != nil && !r.active {
-			return fingerprint(r)
-		}
-		return uint64(cid[r])
-	}
-
-	var key []byte
-	put := func(vs ...uint64) {
-		for _, v := range vs {
-			key = binary.AppendUvarint(key, v)
-		}
-	}
-	putRec := func(r *rec, withSeqRank bool, rank int) {
-		flags := uint64(0)
-		for i, b := range []bool{r.active, r.poIn, r.poOut, r.stIn, r.stOut, r.inhIn} {
-			if b {
-				flags |= 1 << i
+		for _, r := range actives {
+			for _, ob := range r.pending {
+				retired = addRetired(retired, actives, ob.load, ob.target)
 			}
-		}
-		put(uint64(r.op.Kind), uint64(r.op.Proc), uint64(r.op.Block), uint64(r.op.Value), flags)
-		put(ref(r.inhFrom), ref(r.stSucc))
-		if withSeqRank {
-			put(uint64(rank))
-		}
-		// Pending obligation slots, sorted by processor.
-		var procs []int
-		for p := range r.pending {
-			procs = append(procs, int(p))
-		}
-		sort.Ints(procs)
-		put(uint64(len(procs)))
-		for _, p := range procs {
-			ob := r.pending[trace.ProcID(p)]
-			done := uint64(0)
-			if ob.done {
-				done = 1
+			for t := range r.forcedTo {
+				retired = addRetired(retired, actives, t)
 			}
-			put(uint64(p), ref(ob.load), ref(ob.target), done)
+			retired = addRetired(retired, actives, r.inhFrom, r.stSucc)
 		}
-		// Forced-edge targets, sorted by canonical id.
-		var ts []int
-		for t := range r.forcedTo {
-			ts = append(ts, int(ref(t)))
-		}
-		sort.Ints(ts)
-		put(uint64(len(ts)))
-		for _, t := range ts {
-			put(uint64(t))
-		}
+		slices.SortFunc(retired, func(a, b *rec) int { return a.seq - b.seq })
 	}
+	n := canonNames{rename: rename, actives: actives, retired: retired}
 
-	key = append(key, c.cyc.StateKeyRenamed(rename)...)
+	key := c.cyc.AppendStateKeyRenamed(dst, rename)
 	key = append(key, 0xfe)
 
 	// ID ownership map in canonical ID order.
-	slots := make([]uint64, c.k+2)
+	var slotBuf [64]uint64
+	slots := slotBuf[:0]
+	if c.k+2 > len(slotBuf) {
+		slots = make([]uint64, 0, c.k+2)
+	}
+	slots = slots[:c.k+2]
+	clear(slots)
 	for id := 1; id <= c.k+1; id++ {
 		if r := c.owner[id]; r != nil {
-			slots[mapID(id)] = ref(r)
+			slots[mapID(rename, id)] = n.ref(r)
 		}
 	}
 	for _, s := range slots[1:] {
-		put(s)
+		key = binary.AppendUvarint(key, s)
 	}
 
 	// Without a rename, active records carry a relative age rank (their
 	// order matters for the trace-order side condition on program-order
 	// edges against adversarial streams); see StateKeyRenamed for why the
 	// rank is sound to omit in product mode.
-	rank := make(map[*rec]int, len(actives))
-	if rename == nil {
-		bySeq := make([]*rec, len(actives))
-		for i, nr := range actives {
-			bySeq[i] = nr.r
+	key = binary.AppendUvarint(key, uint64(len(actives)))
+	for _, r := range actives {
+		rank := 0
+		if rename == nil {
+			for _, o := range actives {
+				if o.seq < r.seq {
+					rank++
+				}
+			}
 		}
-		sort.Slice(bySeq, func(i, j int) bool { return bySeq[i].seq < bySeq[j].seq })
-		for i, r := range bySeq {
-			rank[r] = i
-		}
-	}
-	put(uint64(len(actives)))
-	for _, nr := range actives {
-		putRec(nr.r, rename == nil, rank[nr.r])
+		key = n.appendRec(key, r, rename == nil, rank)
 	}
 	// In renamed (product) mode retired records appear only as structural
 	// fingerprints at their reference sites; their full serialization is
 	// needed only for the adversarial-stream key.
 	if rename == nil {
-		put(uint64(len(retired)))
+		key = binary.AppendUvarint(key, uint64(len(retired)))
 		for _, r := range retired {
-			putRec(r, false, 0)
+			key = n.appendRec(key, r, false, 0)
 		}
 	}
 
 	// Armed obligations.
-	type armedKey struct{ s, l, t, p, d int }
-	var arms []armedKey
+	var armBuf [32][5]int
+	arms := armBuf[:0]
 	for ob := range c.armed {
 		d := 0
 		if ob.done {
 			d = 1
 		}
-		arms = append(arms, armedKey{s: int(ref(ob.store)), l: int(ref(ob.load)), t: int(ref(ob.target)), p: int(ob.proc), d: d})
+		arms = append(arms, [5]int{int(n.ref(ob.store)), int(ob.proc), int(n.ref(ob.load)), int(n.ref(ob.target)), d})
 	}
-	sort.Slice(arms, func(i, j int) bool {
-		a, b := arms[i], arms[j]
-		if a.s != b.s {
-			return a.s < b.s
+	slices.SortFunc(arms, func(a, b [5]int) int {
+		for i := range a {
+			if a[i] != b[i] {
+				return a[i] - b[i]
+			}
 		}
-		if a.p != b.p {
-			return a.p < b.p
-		}
-		return a.l < b.l
+		return 0
 	})
-	put(uint64(len(arms)))
+	key = binary.AppendUvarint(key, uint64(len(arms)))
 	for _, a := range arms {
-		put(uint64(a.s), uint64(a.p), uint64(a.l), uint64(a.t), uint64(a.d))
+		for _, v := range a {
+			key = binary.AppendUvarint(key, uint64(v))
+		}
 	}
 
 	// Bottom-load obligations.
-	var bkeys [][2]int
+	var bkeyBuf [16][2]int
+	bkeys := bkeyBuf[:0]
 	for k := range c.bottoms {
 		bkeys = append(bkeys, k)
 	}
-	sort.Slice(bkeys, func(i, j int) bool {
-		if bkeys[i][0] != bkeys[j][0] {
-			return bkeys[i][0] < bkeys[j][0]
-		}
-		return bkeys[i][1] < bkeys[j][1]
-	})
-	put(uint64(len(bkeys)))
+	slices.SortFunc(bkeys, cmpPair)
+	key = binary.AppendUvarint(key, uint64(len(bkeys)))
 	for _, bk := range bkeys {
 		bo := c.bottoms[bk]
-		put(uint64(bk[0]), uint64(bk[1]), ref(bo.load))
-		var ts []int
-		for t := range bo.targets {
-			ts = append(ts, int(ref(t)))
-		}
-		sort.Ints(ts)
-		put(uint64(len(ts)))
-		for _, t := range ts {
-			put(uint64(t))
-		}
+		key = binary.AppendUvarint(key, uint64(bk[0]))
+		key = binary.AppendUvarint(key, uint64(bk[1]))
+		key = binary.AppendUvarint(key, n.ref(bo.load))
+		key = n.appendTargets(key, bo.targets)
 	}
 
 	// Per-processor and per-block finalization state.
-	var ps []int
+	var idBuf [16]int
+	ps := idBuf[:0]
 	for p := range c.procs {
 		ps = append(ps, int(p))
 	}
-	sort.Ints(ps)
-	put(uint64(len(ps)))
+	slices.Sort(ps)
+	key = binary.AppendUvarint(key, uint64(len(ps)))
 	for _, p := range ps {
 		st := c.procs[trace.ProcID(p)]
-		seen := uint64(0)
-		if st.seen {
-			seen = 1
-		}
-		put(uint64(p), seen, uint64(st.srcFinal), uint64(st.snkFinal))
+		key = binary.AppendUvarint(key, uint64(p))
+		key = binary.AppendUvarint(key, b2u(st.seen))
+		key = binary.AppendUvarint(key, uint64(st.srcFinal))
+		key = binary.AppendUvarint(key, uint64(st.snkFinal))
 	}
-	var bs []int
+	bs := idBuf[:0]
 	for b := range c.blocks {
 		bs = append(bs, int(b))
 	}
-	sort.Ints(bs)
-	put(uint64(len(bs)))
+	slices.Sort(bs)
+	key = binary.AppendUvarint(key, uint64(len(bs)))
 	for _, b := range bs {
 		st := c.blocks[trace.BlockID(b)]
-		stores := uint64(0)
-		if st.stores {
-			stores = 1
-		}
-		put(uint64(b), stores, uint64(st.srcFinal), uint64(st.snkFinal), ref(st.orphan))
+		key = binary.AppendUvarint(key, uint64(b))
+		key = binary.AppendUvarint(key, b2u(st.stores))
+		key = binary.AppendUvarint(key, uint64(st.srcFinal))
+		key = binary.AppendUvarint(key, uint64(st.snkFinal))
+		key = binary.AppendUvarint(key, n.ref(st.orphan))
 	}
 	return key
+}
+
+// canonNames is the canonical numbering of one state-key computation:
+// active records by minimum renamed ID (canonical id = index+1), then, in
+// the adversarial key, retired records by age.
+type canonNames struct {
+	rename  []int
+	actives []*rec
+	retired []*rec
+}
+
+func mapID(rename []int, id int) int {
+	if rename == nil {
+		return id
+	}
+	return rename[id]
+}
+
+// addRetired appends each non-nil record not yet numbered.
+func addRetired(retired, actives []*rec, rs ...*rec) []*rec {
+	for _, r := range rs {
+		if r != nil && indexOf(actives, r) < 0 && indexOf(retired, r) < 0 {
+			retired = append(retired, r)
+		}
+	}
+	return retired
+}
+
+// ref names a referenced record: its canonical id, or in renamed (product)
+// mode a structural signature for a retired record, whose identity can no
+// longer influence acceptance of observer-generated futures — only its
+// shape can (see StateKeyRenamed). Unnumbered records are 0.
+func (n *canonNames) ref(r *rec) uint64 {
+	if r == nil {
+		return 0
+	}
+	if n.rename != nil && !r.active {
+		f := uint64(1) << 40
+		f |= uint64(r.op.Kind) << 36
+		f |= uint64(r.op.Proc) << 28
+		f |= uint64(r.op.Block) << 20
+		f |= uint64(r.op.Value) << 12
+		for i, b := range [...]bool{r.poIn, r.poOut, r.stIn, r.stOut, r.inhIn} {
+			f |= b2u(b) << i
+		}
+		return f
+	}
+	if i := indexOf(n.actives, r); i >= 0 {
+		return uint64(i + 1)
+	}
+	if i := indexOf(n.retired, r); i >= 0 {
+		return uint64(len(n.actives) + i + 1)
+	}
+	return 0
+}
+
+func (n *canonNames) appendRec(key []byte, r *rec, withSeqRank bool, rank int) []byte {
+	flags := uint64(0)
+	for i, b := range [...]bool{r.active, r.poIn, r.poOut, r.stIn, r.stOut, r.inhIn} {
+		flags |= b2u(b) << i
+	}
+	for _, v := range [...]uint64{uint64(r.op.Kind), uint64(r.op.Proc), uint64(r.op.Block), uint64(r.op.Value), flags, n.ref(r.inhFrom), n.ref(r.stSucc)} {
+		key = binary.AppendUvarint(key, v)
+	}
+	if withSeqRank {
+		key = binary.AppendUvarint(key, uint64(rank))
+	}
+	// Pending obligation slots, sorted by processor.
+	var procBuf [16]int
+	procs := procBuf[:0]
+	if len(r.pending) > 0 {
+		for p := range r.pending {
+			procs = append(procs, int(p))
+		}
+	}
+	slices.Sort(procs)
+	key = binary.AppendUvarint(key, uint64(len(procs)))
+	for _, p := range procs {
+		ob := r.pending[trace.ProcID(p)]
+		for _, v := range [...]uint64{uint64(p), n.ref(ob.load), n.ref(ob.target), b2u(ob.done)} {
+			key = binary.AppendUvarint(key, v)
+		}
+	}
+	// Forced-edge targets, sorted by canonical id.
+	return n.appendTargets(key, r.forcedTo)
+}
+
+// appendTargets writes a forced-edge target set as its sorted canonical
+// ids.
+func (n *canonNames) appendTargets(key []byte, targets map[*rec]bool) []byte {
+	var tsBuf [16]int
+	ts := tsBuf[:0]
+	if len(targets) > 0 {
+		for t := range targets {
+			ts = append(ts, int(n.ref(t)))
+		}
+	}
+	slices.Sort(ts)
+	key = binary.AppendUvarint(key, uint64(len(ts)))
+	for _, t := range ts {
+		key = binary.AppendUvarint(key, uint64(t))
+	}
+	return key
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func indexOf(rs []*rec, r *rec) int {
+	for i, x := range rs {
+		if x == r {
+			return i
+		}
+	}
+	return -1
+}
+
+func cmpPair(a, b [2]int) int {
+	if a[0] != b[0] {
+		return a[0] - b[0]
+	}
+	return a[1] - b[1]
 }

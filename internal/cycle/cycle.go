@@ -112,6 +112,34 @@ func (c *Checker) Clone() *Checker {
 	return out
 }
 
+// CopyFrom overwrites c with a deep copy of src, reusing c's slices and
+// witness map: the model checker's per-worker scratch copies each parent
+// state in before stepping it, so successors that turn out to be
+// duplicates cost no allocation. Witness buffers of a non-witness copy
+// are kept for reuse but never read.
+func (c *Checker) CopyFrom(src *Checker) {
+	c.k, c.n = src.k, src.n
+	c.owner = append(c.owner[:0], src.owner...)
+	c.idCount = append(c.idCount[:0], src.idCount...)
+	c.adj = append(c.adj[:0], src.adj...)
+	c.witness = src.witness
+	c.seq = src.seq
+	c.rejected = src.rejected
+	c.stats = src.stats
+	if !src.witness {
+		return
+	}
+	c.refs = append(c.refs[:0], src.refs...)
+	c.lab = append(c.lab[:0], src.lab...)
+	if c.via == nil {
+		c.via = make(map[int32][]Hop, len(src.via))
+	}
+	clear(c.via)
+	for k, v := range src.via {
+		c.via[k] = v // chains are immutable; see Clone
+	}
+}
+
 // Step consumes one symbol. Once the checker rejects, it stays rejected
 // and returns the same error for all subsequent symbols.
 func (c *Checker) Step(sym descriptor.Symbol) error {

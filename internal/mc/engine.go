@@ -281,7 +281,7 @@ func (x *Explorer) Deliver(items []Item) {
 				x.mu.Unlock()
 				continue
 			}
-			a := x.adjudicate(string(it.Key), it.FP, it.Depth)
+			a := x.adjudicate(it.Key, it.FP, it.Depth)
 			x.mu.Lock()
 			x.itemsIn++
 			out := x.enqueueOutLocked(Item{Kind: ItemReply, Peer: it.Peer, Seq: it.Seq, Act: a})
@@ -385,6 +385,7 @@ func (x *Explorer) ObserverStates() int {
 
 func (x *Explorer) worker() {
 	defer x.wg.Done()
+	s := newScratch(x.p, x.po)
 	for {
 		x.mu.Lock()
 		for !x.stopped && x.qhead >= len(x.queue) {
@@ -407,7 +408,7 @@ func (x *Explorer) worker() {
 		}
 		x.mu.Unlock()
 
-		x.process(j)
+		x.process(j, s)
 
 		x.mu.Lock()
 		x.pending--
@@ -420,7 +421,7 @@ func (x *Explorer) worker() {
 	}
 }
 
-func (x *Explorer) process(j *job) {
+func (x *Explorer) process(j *job, s *scratch) {
 	if x.stopFlag.Load() {
 		return
 	}
@@ -438,38 +439,39 @@ func (x *Explorer) process(j *job) {
 			return
 		}
 	}
-	x.act(prod, j.act)
+	x.act(prod, j.act, s)
 }
 
 // act carries a concrete state through its adjudication outcome.
-func (x *Explorer) act(prod *Product, a Act) {
+func (x *Explorer) act(prod *Product, a Act, s *scratch) {
 	if a == ActClaim {
+		key := []byte(prod.Key)
 		if owner := x.ownerOf(prod.FP); owner != x.cfg.Shard {
-			x.park(prod, owner)
+			x.park(prod, key, owner)
 			return
 		}
-		a = x.adjudicate(prod.Key, prod.FP, prod.Depth)
+		a = x.adjudicate(key, prod.FP, prod.Depth)
 	}
 	switch a {
 	case ActFreshFinish, ActFreshExpand:
 		x.noteFresh(prod)
-		if err := prod.FinishCheck(); err != nil {
+		if err := s.finishCheck(prod); err != nil {
 			x.violate(prod.Path(), err)
 			return
 		}
 		if a == ActFreshExpand {
-			x.expand(prod, true)
+			x.expand(prod, true, s)
 		}
 	case ActExpandCount:
-		x.expand(prod, true)
+		x.expand(prod, true, s)
 	case ActExpand:
-		x.expand(prod, false)
+		x.expand(prod, false, s)
 	}
 }
 
 // adjudicate is the owner side of a claim: visited dedup with min-depth
 // relaxation, state accounting, and cap flagging.
-func (x *Explorer) adjudicate(key string, fp uint64, depth int) Act {
+func (x *Explorer) adjudicate(key []byte, fp uint64, depth int) Act {
 	fresh, expand := x.visited.claim(key, fp, depth)
 	if fresh {
 		if max := x.cfg.MaxStates; max > 0 && x.visited.size() >= int64(max) {
@@ -498,8 +500,10 @@ func (x *Explorer) adjudicate(key string, fp uint64, depth int) Act {
 }
 
 // expand generates and adjudicates all successors of e. count charges the
-// fan-out to the transition counter (granted once per state).
-func (x *Explorer) expand(e *Product, count bool) {
+// fan-out to the transition counter (granted once per state). Each
+// successor is stepped in the worker's scratch; only successors that are
+// fresh, improved or owned by another shard are cloned out of it.
+func (x *Explorer) expand(e *Product, count bool, s *scratch) {
 	if d := x.cfg.StepDelay; d > 0 {
 		time.Sleep(d)
 	}
@@ -511,20 +515,22 @@ func (x *Explorer) expand(e *Product, count bool) {
 		if x.stopFlag.Load() {
 			return
 		}
-		ne, err := e.Step(tr, i)
-		if err != nil {
+		if err := s.step(e, tr, i); err != nil {
 			x.violate(append(e.Path(), i), err)
 			return
 		}
-		if owner := x.ownerOf(ne.FP); owner != x.cfg.Shard {
-			x.park(ne, owner)
+		if owner := x.ownerOf(s.prod.FP); owner != x.cfg.Shard {
+			x.park(s.materialize(), s.key, owner)
 			continue
 		}
-		switch a := x.adjudicate(ne.Key, ne.FP, ne.Depth); a {
+		switch a := x.adjudicate(s.key, s.prod.FP, s.prod.Depth); a {
 		case ActDup:
 		case ActFreshFinish, ActFreshExpand:
+			ne := s.materialize()
 			x.noteFresh(ne)
-			if err := ne.FinishCheck(); err != nil {
+			// The scratch still holds ne's state and is overwritten by the
+			// next step anyway, so the finish check may consume it.
+			if err := s.prod.finish(); err != nil {
 				x.violate(ne.Path(), err)
 				return
 			}
@@ -532,17 +538,18 @@ func (x *Explorer) expand(e *Product, count bool) {
 				x.push(ne, ActExpandCount)
 			}
 		default:
-			x.push(ne, a)
+			x.push(s.materialize(), a)
 		}
 	}
 }
 
 // park holds a cross-shard successor locally and emits its claim; the
-// concrete state never travels unless the coordinator migrates it.
-func (x *Explorer) park(prod *Product, owner int) {
+// concrete state never travels unless the coordinator migrates it. key is
+// the successor's canonical key, sent in exact/audit modes.
+func (x *Explorer) park(prod *Product, key []byte, owner int) {
 	it := Item{Kind: ItemClaim, Peer: owner, FP: prod.FP, Depth: prod.Depth}
 	if x.cfg.Exact || x.cfg.Audit {
-		it.Key = []byte(prod.Key)
+		it.Key = append([]byte(nil), key...)
 	}
 	x.mu.Lock()
 	if x.stopped {
@@ -615,8 +622,8 @@ func (x *Explorer) noteFresh(prod *Product) {
 	}
 	atomicMax(&x.maxDepth, int64(prod.Depth))
 	if x.obsVisited != nil {
-		key := string(prod.Obs.CanonicalKey(prod.Obs.CanonicalRename()))
-		x.obsVisited.claim(key, Fingerprint(key), prod.Depth)
+		key := prod.Obs.CanonicalKey(prod.Obs.CanonicalRename())
+		x.obsVisited.claim(key, FingerprintBytes(key), prod.Depth)
 	}
 }
 
@@ -712,6 +719,63 @@ func (x *Explorer) haltLocked() {
 	x.stopped = true
 	x.stopFlag.Store(true)
 	x.cond.Broadcast()
+}
+
+// scratch is one worker's reusable product: each successor is computed by
+// copying its parent into the scratch (CopyFrom on checker and observer,
+// reusing their storage), stepping it in place, and appending its key into
+// a reused buffer. A compact Clone is made only for successors that
+// survive adjudication. The scratch observer's emit stays bound to the
+// scratch checker across copies.
+type scratch struct {
+	prod   *Product
+	parent *pathNode // path of the state the scratch was stepped from
+	idx    int       // the transition taken from it
+	key    []byte
+	rename []int
+}
+
+func newScratch(p protocol.Protocol, po ProductOptions) *scratch {
+	return &scratch{prod: NewProduct(p, po)}
+}
+
+// load overwrites the scratch with src's state.
+func (s *scratch) load(src *Product) {
+	s.prod.Chk.CopyFrom(src.Chk)
+	s.prod.Obs.CopyFrom(src.Obs)
+	s.prod.PState, s.prod.Depth = src.PState, src.Depth
+}
+
+// step computes parent's successor under transition idx into the scratch,
+// with its key in s.key and its fingerprint in s.prod.FP. parent is not
+// modified.
+func (s *scratch) step(parent *Product, tr protocol.Transition, idx int) error {
+	s.load(parent)
+	if err := s.prod.advance(tr); err != nil {
+		return err
+	}
+	s.parent, s.idx = parent.node, idx
+	s.key, s.rename = s.prod.appendKey(s.key[:0], s.rename)
+	s.prod.FP = FingerprintBytes(s.key)
+	return nil
+}
+
+// materialize returns a compact clone of the stepped successor.
+func (s *scratch) materialize() *Product {
+	ne := s.prod.fork()
+	ne.FP = s.prod.FP
+	ne.node = &pathNode{parent: s.parent, idx: int32(s.idx)}
+	return ne
+}
+
+// finishCheck is Product.FinishCheck run in the scratch instead of on a
+// clone of both halves.
+func (s *scratch) finishCheck(prod *Product) error {
+	if prod.Obs.FinishIsNoOp() {
+		return prod.Chk.FinishDry()
+	}
+	s.load(prod)
+	return s.prod.finish()
 }
 
 func atomicMax(a *atomic.Int64, v int64) {

@@ -113,8 +113,8 @@ func BenchmarkVisitedClaim(b *testing.B) {
 				for pb.Next() {
 					i++
 					n := copy(buf[:], fmt.Sprintf("k%d", i))
-					key := string(buf[:n])
-					v.claim(key, Fingerprint(key), 0)
+					key := buf[:n]
+					v.claim(key, FingerprintBytes(key), 0)
 				}
 			})
 		})

@@ -27,7 +27,13 @@ func mix64(x uint64) uint64 {
 
 // Fingerprint hashes a canonical product-state key to 64 bits. It is a
 // pure function of the key bytes, identical in every process.
-func Fingerprint(key string) uint64 {
+func Fingerprint(key string) uint64 { return fingerprint(key) }
+
+// FingerprintBytes is Fingerprint of a key held in a byte slice, without
+// converting it to a string: FingerprintBytes(b) == Fingerprint(string(b)).
+func FingerprintBytes(key []byte) uint64 { return fingerprint(key) }
+
+func fingerprint[K string | []byte](key K) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])

@@ -35,10 +35,10 @@ type visitedSet interface {
 	// true on first sighting (the state counts toward size); expand is
 	// true when the caller should (re-)expand: on first sighting, or when
 	// the depth improved on a bounded run.
-	claim(key string, fp uint64, depth int) (fresh, expand bool)
+	claim(key []byte, fp uint64, depth int) (fresh, expand bool)
 	// countExpand consumes the state's once-only transition-count grant;
 	// true if this caller should charge the fan-out.
-	countExpand(key string, fp uint64) bool
+	countExpand(key []byte, fp uint64) bool
 	size() int64
 	collisions() int64
 }
@@ -74,32 +74,32 @@ func newExactVisited(bounded bool) *exactVisited {
 	return v
 }
 
-func (v *exactVisited) claim(key string, fp uint64, depth int) (fresh, expand bool) {
+func (v *exactVisited) claim(key []byte, fp uint64, depth int) (fresh, expand bool) {
 	s := &v.shards[fp%visitedShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur, ok := s.m[key]
+	cur, ok := s.m[string(key)]
 	if !ok {
-		s.m[key] = mkVisit(depth)
+		s.m[string(key)] = mkVisit(depth)
 		v.count.Add(1)
 		return true, true
 	}
 	if v.bounded && int32(depth) < cur.depth() {
-		s.m[key] = mkVisit(depth) | (cur & visitCounted)
+		s.m[string(key)] = mkVisit(depth) | (cur & visitCounted)
 		return false, true
 	}
 	return false, false
 }
 
-func (v *exactVisited) countExpand(key string, fp uint64) bool {
+func (v *exactVisited) countExpand(key []byte, fp uint64) bool {
 	s := &v.shards[fp%visitedShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur, ok := s.m[key]
+	cur, ok := s.m[string(key)]
 	if !ok || cur.counted() {
 		return false
 	}
-	s.m[key] = cur | visitCounted
+	s.m[string(key)] = cur | visitCounted
 	return true
 }
 
@@ -133,7 +133,7 @@ func newFPVisited(bounded, audit bool) *fpVisited {
 	return v
 }
 
-func (v *fpVisited) claim(key string, fp uint64, depth int) (fresh, expand bool) {
+func (v *fpVisited) claim(key []byte, fp uint64, depth int) (fresh, expand bool) {
 	s := &v.shards[fp%visitedShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -141,12 +141,12 @@ func (v *fpVisited) claim(key string, fp uint64, depth int) (fresh, expand bool)
 	if !ok {
 		s.m[fp] = mkVisit(depth)
 		if v.audit {
-			s.keys[fp] = key
+			s.keys[fp] = string(key)
 		}
 		v.count.Add(1)
 		return true, true
 	}
-	if v.audit && s.keys[fp] != key {
+	if v.audit && s.keys[fp] != string(key) {
 		v.colls.Add(1)
 	}
 	if v.bounded && int32(depth) < cur.depth() {
@@ -156,7 +156,7 @@ func (v *fpVisited) claim(key string, fp uint64, depth int) (fresh, expand bool)
 	return false, false
 }
 
-func (v *fpVisited) countExpand(key string, fp uint64) bool {
+func (v *fpVisited) countExpand(key []byte, fp uint64) bool {
 	s := &v.shards[fp%visitedShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()

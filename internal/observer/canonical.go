@@ -1,29 +1,22 @@
 package observer
 
 import (
-	"sort"
+	"slices"
 
 	"scverify/internal/trace"
 )
 
-// RoleGenerator is implemented by ST-order generators that hold node
-// handles in their state; visiting them in a fixed role order lets the
-// observer compute a history-independent canonical ID renaming.
-type RoleGenerator interface {
-	Roles(visit func(NodeHandle))
-}
-
-// Roles visits the RealTime generator's per-block last stores in block
-// order.
-func (g *RealTime) Roles(visit func(NodeHandle)) {
-	blocks := make([]int, 0, len(g.last))
-	for b := range g.last {
-		blocks = append(blocks, int(b))
+// appendRoles appends the node handles the generator holds, in a fixed
+// role order, so the canonical renaming is history-independent. Other
+// generators hold no roles the renaming can see.
+func (o *Observer) appendRoles(dst []NodeHandle) []NodeHandle {
+	switch g := o.gen.(type) {
+	case *RealTime:
+		return appendLastRoles(dst, g.last)
+	case *QueueGenerator:
+		return g.appendRoles(dst)
 	}
-	sort.Ints(blocks)
-	for _, b := range blocks {
-		visit(g.last[trace.BlockID(b)])
-	}
+	return dst
 }
 
 // CanonicalRename computes a permutation of descriptor IDs that depends
@@ -37,9 +30,21 @@ func (g *RealTime) Roles(visit func(NodeHandle)) {
 // checker's state keys through this permutation makes runs that differ
 // only in allocation history collide in the model checker's visited set.
 func (o *Observer) CanonicalRename() []int {
-	pi := make([]int, o.poolSize+2)
+	return o.AppendCanonicalRename(make([]int, 0, o.poolSize+2))
+}
+
+// AppendCanonicalRename appends the CanonicalRename permutation (indices
+// 0..poolSize+1) to dst. It builds no maps and, for up to 64 live nodes,
+// allocates nothing beyond growing dst.
+func (o *Observer) AppendCanonicalRename(dst []int) []int {
+	start := len(dst)
+	for i := 0; i < o.poolSize+2; i++ {
+		dst = append(dst, 0)
+	}
+	pi := dst[start:]
 	next := 1
-	queue := make([]*onode, 0, len(o.nodes))
+	var queueBuf [64]*onode
+	queue := queueBuf[:0]
 	name := func(n *onode) {
 		if n == nil || pi[n.id] != 0 {
 			return
@@ -52,55 +57,46 @@ func (o *Observer) CanonicalRename() []int {
 	for _, n := range o.locToNode[1:] {
 		name(n)
 	}
-	procs := make([]int, 0, len(o.lastOp))
+	var idBuf [16]int
+	procs := idBuf[:0]
 	for p := range o.lastOp {
 		procs = append(procs, int(p))
 	}
-	sort.Ints(procs)
+	slices.Sort(procs)
 	for _, p := range procs {
 		name(o.lastOp[trace.ProcID(p)])
 	}
-	blocks := make([]int, 0, len(o.firstSt))
+	blocks := idBuf[:0]
 	for b := range o.firstSt {
 		blocks = append(blocks, int(b))
 	}
-	sort.Ints(blocks)
+	slices.Sort(blocks)
 	for _, b := range blocks {
 		name(o.firstSt[trace.BlockID(b)])
 	}
-	bkeys := make([][2]int, 0, len(o.bottoms))
-	for k := range o.bottoms {
-		bkeys = append(bkeys, k)
-	}
-	sort.Slice(bkeys, func(i, j int) bool {
-		if bkeys[i][0] != bkeys[j][0] {
-			return bkeys[i][0] < bkeys[j][0]
-		}
-		return bkeys[i][1] < bkeys[j][1]
-	})
-	for _, k := range bkeys {
+	var bkeyBuf [16][2]int
+	for _, k := range o.sortedBottoms(bkeyBuf[:0]) {
 		name(o.bottoms[k])
 	}
-	if rg, ok := o.gen.(RoleGenerator); ok {
-		rg.Roles(func(h NodeHandle) {
-			if n, ok := o.nodes[h]; ok {
-				name(n)
-			}
-		})
+	var roleBuf [16]NodeHandle
+	for _, h := range o.appendRoles(roleBuf[:0]) {
+		if n, ok := o.nodes[h]; ok {
+			name(n)
+		}
 	}
 	// Breadth-first closure over structural references.
 	for i := 0; i < len(queue); i++ {
 		n := queue[i]
 		name(n.stSucc)
-		if n.pending != nil {
-			ps := make([]int, 0, len(n.pending))
+		ps := idBuf[:0]
+		if len(n.pending) > 0 {
 			for p := range n.pending {
 				ps = append(ps, int(p))
 			}
-			sort.Ints(ps)
-			for _, p := range ps {
-				name(n.pending[trace.ProcID(p)])
-			}
+		}
+		slices.Sort(ps)
+		for _, p := range ps {
+			name(n.pending[trace.ProcID(p)])
 		}
 	}
 	// Free IDs in pop order (top of stack allocates first).
@@ -120,5 +116,22 @@ func (o *Observer) CanonicalRename() []int {
 		}
 	}
 	pi[o.poolSize+1] = o.poolSize + 1
-	return pi
+	return dst
+}
+
+// sortedBottoms appends the pending ⊥-load keys in (processor, block)
+// order.
+func (o *Observer) sortedBottoms(dst [][2]int) [][2]int {
+	for k := range o.bottoms {
+		dst = append(dst, k)
+	}
+	slices.SortFunc(dst, cmpPair)
+	return dst
+}
+
+func cmpPair(a, b [2]int) int {
+	if a[0] != b[0] {
+		return a[0] - b[0]
+	}
+	return a[1] - b[1]
 }

@@ -90,7 +90,7 @@ type onode struct {
 type Observer struct {
 	proto protocol.Protocol
 	gen   STOrderGenerator
-	emit  func(descriptor.Symbol) error
+	emit  func(descriptor.Symbol) error // not copied: destination-owned
 
 	poolSize int
 	freeIDs  []int
@@ -106,6 +106,9 @@ type Observer struct {
 
 	stats Stats
 	err   error
+
+	// pool is the reusable storage of a CopyFrom destination; nil otherwise.
+	pool *nodePool // not copied: destination-owned
 }
 
 // Stats counts observer activity for benchmarks and the size-bound
@@ -209,12 +212,9 @@ func (o *Observer) newNode(op trace.Op) (*onode, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &onode{h: o.nextHandle, op: op, id: id}
+	n := o.allocNode(onode{h: o.nextHandle, op: op, id: id}, op.IsStore())
 	o.nextHandle++
 	o.nodes[n.h] = n
-	if op.IsStore() {
-		n.pending = make(map[trace.ProcID]*onode)
-	}
 	if live := len(o.nodes); live > o.stats.MaxLive {
 		o.stats.MaxLive = live
 	}

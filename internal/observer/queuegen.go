@@ -2,7 +2,6 @@ package observer
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"scverify/internal/protocol"
 	"scverify/internal/trace"
@@ -109,47 +108,55 @@ func (g *QueueGenerator) Clone() STOrderGenerator {
 	return out
 }
 
+// CopyFrom implements CloneableGenerator, reusing the receiver's queues
+// and maps.
+func (g *QueueGenerator) CopyFrom(src STOrderGenerator) {
+	s := src.(*QueueGenerator)
+	if s == g {
+		return
+	}
+	g.event, g.procs = s.event, s.procs
+	for p, q := range g.pending {
+		g.pending[p] = q[:0]
+	}
+	for p, q := range s.pending {
+		g.pending[p] = append(g.pending[p][:0], q...)
+	}
+	clear(g.last)
+	for b, h := range s.last {
+		g.last[b] = h
+	}
+	clear(g.blocks)
+	for h, b := range s.blocks {
+		g.blocks[h] = b
+	}
+}
+
 // StateKey encodes the generator state with raw handles.
 func (g *QueueGenerator) StateKey() []byte {
-	return g.StateKeyResolved(func(h NodeHandle) int { return int(h) })
+	return g.AppendStateKeyResolved(nil, rawHandle)
 }
 
-// StateKeyResolved implements ResolvableGenerator.
-func (g *QueueGenerator) StateKeyResolved(resolve func(NodeHandle) int) []byte {
-	var key []byte
+// AppendStateKeyResolved appends the generator state to dst, naming each
+// handle by resolve(handle).
+func (g *QueueGenerator) AppendStateKeyResolved(dst []byte, resolve func(NodeHandle) int) []byte {
 	for p := trace.ProcID(1); int(p) <= g.procs; p++ {
 		q := g.pending[p]
-		key = binary.AppendUvarint(key, uint64(len(q)))
+		dst = binary.AppendUvarint(dst, uint64(len(q)))
 		for _, h := range q {
-			key = binary.AppendUvarint(key, uint64(resolve(h)))
-			key = binary.AppendUvarint(key, uint64(g.blocks[h]))
+			dst = binary.AppendUvarint(dst, uint64(resolve(h)))
+			dst = binary.AppendUvarint(dst, uint64(g.blocks[h]))
 		}
 	}
-	blocks := make([]int, 0, len(g.last))
-	for b := range g.last {
-		blocks = append(blocks, int(b))
-	}
-	sort.Ints(blocks)
-	for _, b := range blocks {
-		key = binary.AppendUvarint(key, uint64(b))
-		key = binary.AppendUvarint(key, uint64(resolve(g.last[trace.BlockID(b)])))
-	}
-	return key
+	return appendLastKey(dst, g.last, resolve)
 }
 
-// Roles implements RoleGenerator.
-func (g *QueueGenerator) Roles(visit func(NodeHandle)) {
+// appendRoles appends the handles the generator holds, for the observer's
+// canonical renaming: pending stores in (processor, FIFO) order, then
+// per-block last stores in block order.
+func (g *QueueGenerator) appendRoles(dst []NodeHandle) []NodeHandle {
 	for p := trace.ProcID(1); int(p) <= g.procs; p++ {
-		for _, h := range g.pending[p] {
-			visit(h)
-		}
+		dst = append(dst, g.pending[p]...)
 	}
-	blocks := make([]int, 0, len(g.last))
-	for b := range g.last {
-		blocks = append(blocks, int(b))
-	}
-	sort.Ints(blocks)
-	for _, b := range blocks {
-		visit(g.last[trace.BlockID(b)])
-	}
+	return appendLastRoles(dst, g.last)
 }

@@ -2,7 +2,7 @@ package observer
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"scverify/internal/protocol"
 	"scverify/internal/trace"
@@ -41,33 +41,51 @@ func (g *RealTime) OnInternal(protocol.Action) Update { return Update{} }
 // Finish is a no-op: every store was ordered as it appeared.
 func (g *RealTime) Finish() Update { return Update{} }
 
-// StateKey encodes the per-block last-store handles via the resolver
-// installed by the observer (see Observer.StateKey), falling back to raw
-// handles when used stand-alone.
+// StateKey encodes the per-block last-store handles as raw handles; the
+// observer's own key resolves them to descriptor IDs instead (see
+// Observer.AppendCanonicalKey).
 func (g *RealTime) StateKey() []byte {
-	return g.StateKeyResolved(func(h NodeHandle) int { return int(h) })
+	return g.AppendStateKeyResolved(nil, rawHandle)
 }
 
-// StateKeyResolved implements ResolvableGenerator.
-func (g *RealTime) StateKeyResolved(resolve func(NodeHandle) int) []byte {
-	blocks := make([]int, 0, len(g.last))
-	for b := range g.last {
+// AppendStateKeyResolved appends the generator state to dst, naming each
+// handle by resolve(handle).
+func (g *RealTime) AppendStateKeyResolved(dst []byte, resolve func(NodeHandle) int) []byte {
+	return appendLastKey(dst, g.last, resolve)
+}
+
+// sortedBlocks returns the blocks of a per-block handle map in increasing
+// order, in buf when it fits.
+func sortedBlocks(last map[trace.BlockID]NodeHandle, buf []int) []int {
+	blocks := buf[:0]
+	for b := range last {
 		blocks = append(blocks, int(b))
 	}
-	sort.Ints(blocks)
-	var key []byte
-	for _, b := range blocks {
-		key = binary.AppendUvarint(key, uint64(b))
-		key = binary.AppendUvarint(key, uint64(resolve(g.last[trace.BlockID(b)])))
-	}
-	return key
+	slices.Sort(blocks)
+	return blocks
 }
 
-// ResolvableGenerator is implemented by generators whose state keys should
-// name nodes by their stable descriptor IDs rather than raw handles; the
-// observer passes a resolver mapping handles to canonical IDs.
-type ResolvableGenerator interface {
-	StateKeyResolved(resolve func(NodeHandle) int) []byte
+// appendLastKey encodes a per-block last-store map as (block, resolved
+// handle) pairs in block order.
+func appendLastKey(dst []byte, last map[trace.BlockID]NodeHandle, resolve func(NodeHandle) int) []byte {
+	var buf [16]int
+	for _, b := range sortedBlocks(last, buf[:]) {
+		dst = binary.AppendUvarint(dst, uint64(b))
+		dst = binary.AppendUvarint(dst, uint64(resolve(last[trace.BlockID(b)])))
+	}
+	return dst
+}
+
+func rawHandle(h NodeHandle) int { return int(h) }
+
+// appendLastRoles appends a per-block last-store map's handles in block
+// order.
+func appendLastRoles(dst []NodeHandle, last map[trace.BlockID]NodeHandle) []NodeHandle {
+	var buf [16]int
+	for _, b := range sortedBlocks(last, buf[:]) {
+		dst = append(dst, last[trace.BlockID(b)])
+	}
+	return dst
 }
 
 // IdleGenerator is implemented by generators that can report whether a

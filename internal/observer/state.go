@@ -2,7 +2,7 @@ package observer
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"scverify/internal/trace"
 )
@@ -13,7 +13,7 @@ import (
 // Theorem 4.1 needs for the observer to be a finite-state protocol, and
 // the property the model checker needs to close the product state space.
 func (o *Observer) StateKey() []byte {
-	return o.keyWithRename(nil)
+	return o.AppendCanonicalKey(nil, nil)
 }
 
 // CanonicalKey returns the observer state key under the canonical ID
@@ -21,12 +21,15 @@ func (o *Observer) StateKey() []byte {
 // allocation history collide. The paired checker key must be renamed with
 // the same permutation (see checker.Checker.StateKeyRenamed).
 func (o *Observer) CanonicalKey(rename []int) []byte {
-	return o.keyWithRename(rename)
+	return o.AppendCanonicalKey(nil, rename)
 }
 
-func (o *Observer) keyWithRename(rename []int) []byte {
+// AppendCanonicalKey appends CanonicalKey(rename) to dst (StateKey when
+// rename is nil). It builds no maps and, with a built-in generator and up
+// to 64 live nodes, allocates nothing beyond growing dst.
+func (o *Observer) AppendCanonicalKey(dst []byte, rename []int) []byte {
 	if o.err != nil {
-		return []byte{0xff}
+		return append(dst, 0xff)
 	}
 	mapID := func(id int) int {
 		if rename == nil {
@@ -34,12 +37,8 @@ func (o *Observer) keyWithRename(rename []int) []byte {
 		}
 		return rename[id]
 	}
-	var key []byte
-	put := func(vs ...uint64) {
-		for _, v := range vs {
-			key = binary.AppendUvarint(key, v)
-		}
-	}
+	key := dst
+	put := func(v uint64) { key = binary.AppendUvarint(key, v) }
 	idOf := func(n *onode) uint64 {
 		if n == nil {
 			return 0
@@ -53,12 +52,14 @@ func (o *Observer) keyWithRename(rename []int) []byte {
 	}
 
 	// Live nodes sorted by (renamed) ID.
-	live := make([]*onode, 0, len(o.nodes))
+	var liveBuf [64]*onode
+	live := liveBuf[:0]
 	for _, n := range o.nodes {
 		live = append(live, n)
 	}
-	sort.Slice(live, func(i, j int) bool { return mapID(live[i].id) < mapID(live[j].id) })
+	slices.SortFunc(live, func(a, b *onode) int { return mapID(a.id) - mapID(b.id) })
 	put(uint64(len(live)))
+	var idBuf [16]int
 	for _, n := range live {
 		flags := uint64(0)
 		if n.stIn {
@@ -67,8 +68,14 @@ func (o *Observer) keyWithRename(rename []int) []byte {
 		if n.succPinned {
 			flags |= 2
 		}
-		put(uint64(mapID(n.id)), uint64(n.op.Kind), uint64(n.op.Proc), uint64(n.op.Block), uint64(n.op.Value), flags)
-		put(uint64(n.locRefs), uint64(n.pins))
+		put(uint64(mapID(n.id)))
+		put(uint64(n.op.Kind))
+		put(uint64(n.op.Proc))
+		put(uint64(n.op.Block))
+		put(uint64(n.op.Value))
+		put(flags)
+		put(uint64(n.locRefs))
+		put(uint64(n.pins))
 		// A store's successor pointer only influences future emissions while
 		// the store is inh-active (succPinned); after that only the fact
 		// that the store has been ordered matters, so a stale pointer to a
@@ -81,74 +88,72 @@ func (o *Observer) keyWithRename(rename []int) []byte {
 				succ = idOf(n.stSucc)
 			}
 		}
-		put(ordered, succ)
-		if n.pending != nil {
-			procs := make([]int, 0, len(n.pending))
+		put(ordered)
+		put(succ)
+		procs := idBuf[:0]
+		if len(n.pending) > 0 {
 			for p := range n.pending {
 				procs = append(procs, int(p))
 			}
-			sort.Ints(procs)
-			put(uint64(len(procs)))
-			for _, p := range procs {
-				put(uint64(p), idOf(n.pending[trace.ProcID(p)]))
-			}
-		} else {
-			put(0)
+		}
+		slices.Sort(procs)
+		put(uint64(len(procs)))
+		for _, p := range procs {
+			put(uint64(p))
+			put(idOf(n.pending[trace.ProcID(p)]))
 		}
 	}
 
 	// Program-order tails.
-	procs := make([]int, 0, len(o.lastOp))
+	procs := idBuf[:0]
 	for p := range o.lastOp {
 		procs = append(procs, int(p))
 	}
-	sort.Ints(procs)
+	slices.Sort(procs)
 	put(uint64(len(procs)))
 	for _, p := range procs {
-		put(uint64(p), idOf(o.lastOp[trace.ProcID(p)]))
+		put(uint64(p))
+		put(idOf(o.lastOp[trace.ProcID(p)]))
 	}
 
 	// First stores.
-	blocks := make([]int, 0, len(o.firstSt))
+	blocks := idBuf[:0]
 	for b := range o.firstSt {
 		blocks = append(blocks, int(b))
 	}
-	sort.Ints(blocks)
+	slices.Sort(blocks)
 	put(uint64(len(blocks)))
 	for _, b := range blocks {
-		put(uint64(b), idOf(o.firstSt[trace.BlockID(b)]))
+		put(uint64(b))
+		put(idOf(o.firstSt[trace.BlockID(b)]))
 	}
 
 	// Pending ⊥-loads.
-	bkeys := make([][2]int, 0, len(o.bottoms))
-	for k := range o.bottoms {
-		bkeys = append(bkeys, k)
-	}
-	sort.Slice(bkeys, func(i, j int) bool {
-		if bkeys[i][0] != bkeys[j][0] {
-			return bkeys[i][0] < bkeys[j][0]
-		}
-		return bkeys[i][1] < bkeys[j][1]
-	})
+	var bkeyBuf [16][2]int
+	bkeys := o.sortedBottoms(bkeyBuf[:0])
 	put(uint64(len(bkeys)))
 	for _, k := range bkeys {
-		put(uint64(k[0]), uint64(k[1]), idOf(o.bottoms[k]))
+		put(uint64(k[0]))
+		put(uint64(k[1]))
+		put(idOf(o.bottoms[k]))
 	}
 
-	// Generator state, with handles resolved to descriptor IDs when the
-	// generator supports it.
-	var genKey []byte
-	if rg, ok := o.gen.(ResolvableGenerator); ok {
-		genKey = rg.StateKeyResolved(func(h NodeHandle) int {
-			if n, ok := o.nodes[h]; ok {
-				return mapID(n.id)
-			}
-			return 0
-		})
-	} else {
-		genKey = o.gen.StateKey()
-	}
+	// Generator state, with the built-in generators' handles resolved to
+	// descriptor IDs; other generators encode their own raw state.
 	key = append(key, 0xfe)
-	key = append(key, genKey...)
+	resolve := func(h NodeHandle) int {
+		if n, ok := o.nodes[h]; ok {
+			return mapID(n.id)
+		}
+		return 0
+	}
+	switch g := o.gen.(type) {
+	case *RealTime:
+		key = g.AppendStateKeyResolved(key, resolve)
+	case *QueueGenerator:
+		key = g.AppendStateKeyResolved(key, resolve)
+	default:
+		key = append(key, o.gen.StateKey()...)
+	}
 	return key
 }

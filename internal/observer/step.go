@@ -2,7 +2,7 @@ package observer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"scverify/internal/descriptor"
 	"scverify/internal/protocol"
@@ -48,8 +48,8 @@ func (o *Observer) applyCopies(copies []protocol.Copy) {
 	if len(copies) == 0 {
 		return
 	}
-	pre := make([]*onode, len(o.locToNode))
-	copy(pre, o.locToNode)
+	var preBuf [32]*onode
+	pre := append(preBuf[:0], o.locToNode...)
 	for _, cp := range copies {
 		if cp.Dst == cp.Src {
 			continue
@@ -203,11 +203,12 @@ func (o *Observer) applyUpdate(u Update) error {
 		// Pending inheritors owe their forced edges now, emitted in
 		// processor order so the stream is a deterministic function of the
 		// run.
-		procs := make([]int, 0, len(from.pending))
+		var procBuf [16]int
+		procs := procBuf[:0]
 		for p := range from.pending {
 			procs = append(procs, int(p))
 		}
-		sort.Ints(procs)
+		slices.Sort(procs)
 		for _, p := range procs {
 			load := from.pending[trace.ProcID(p)]
 			if err := o.send(descriptor.Edge{From: load.id, To: to.id, Label: descriptor.Forced}); err != nil {
@@ -229,19 +230,11 @@ func (o *Observer) applyUpdate(u Update) error {
 		}
 		o.firstSt[f.Block] = n
 		o.pin(n) // late ⊥-loads may still need a forced edge to it
-		keys := make([][2]int, 0, len(o.bottoms))
-		for key := range o.bottoms {
-			if trace.BlockID(key[1]) == f.Block {
-				keys = append(keys, key)
+		var keyBuf [16][2]int
+		for _, key := range o.sortedBottoms(keyBuf[:0]) {
+			if trace.BlockID(key[1]) != f.Block {
+				continue
 			}
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
-			}
-			return keys[i][1] < keys[j][1]
-		})
-		for _, key := range keys {
 			load := o.bottoms[key]
 			if err := o.send(descriptor.Edge{From: load.id, To: n.id, Label: descriptor.Forced}); err != nil {
 				return err

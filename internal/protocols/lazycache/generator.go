@@ -1,162 +1,24 @@
 package lazycache
 
-import (
-	"encoding/binary"
-	"sort"
-
-	"scverify/internal/observer"
-	"scverify/internal/protocol"
-	"scverify/internal/trace"
-)
+import "scverify/internal/observer"
 
 // Generator is the ST-order generator for lazy caching described in
 // Section 4.2 of the paper: stores are ordered not in trace order but in
-// memory-write order. The generator keeps, per processor, the FIFO of
-// store nodes whose memory-writes are still pending, and per block the
-// most recently serialized store; each memory-write(P,B) event pops P's
-// oldest pending store and chains it after the block's previous store.
+// memory-write order. It is the observer's queue-aware generator driven by
+// memory-write events: per processor, the FIFO of store nodes whose
+// memory-writes are still pending, and per block the most recently
+// serialized store; each memory-write(P,B) event pops P's oldest pending
+// store and chains it after the block's previous store.
 //
 // At end of run, stores still queued are serialized by a deterministic
 // completion (processors in index order, each FIFO in order) — legal
 // because unserialized stores can have no inheritors: a processor cannot
 // read its own pending stores (the out-queue-empty load condition) and no
 // other processor can see them.
-type Generator struct {
-	pending map[trace.ProcID][]observer.NodeHandle
-	last    map[trace.BlockID]observer.NodeHandle
-	blocks  map[observer.NodeHandle]trace.BlockID
-	procs   int
-}
+type Generator = observer.QueueGenerator
 
 // NewGenerator returns a generator for a protocol with the given number of
 // processors.
 func NewGenerator(procs int) *Generator {
-	return &Generator{
-		pending: make(map[trace.ProcID][]observer.NodeHandle),
-		last:    make(map[trace.BlockID]observer.NodeHandle),
-		blocks:  make(map[observer.NodeHandle]trace.BlockID),
-		procs:   procs,
-	}
-}
-
-// OnStore queues the store for later serialization; no edges yet.
-func (g *Generator) OnStore(h observer.NodeHandle, op trace.Op) observer.Update {
-	g.pending[op.Proc] = append(g.pending[op.Proc], h)
-	g.blocks[h] = op.Block
-	return observer.Update{}
-}
-
-// OnInternal reacts to memory-write events, serializing the issuing
-// processor's oldest pending store.
-func (g *Generator) OnInternal(a protocol.Action) observer.Update {
-	if a.Name != "memory-write" || len(a.Args) < 1 {
-		return observer.Update{}
-	}
-	p := trace.ProcID(a.Args[0])
-	return g.serializeHead(p)
-}
-
-func (g *Generator) serializeHead(p trace.ProcID) observer.Update {
-	q := g.pending[p]
-	if len(q) == 0 {
-		return observer.Update{}
-	}
-	h := q[0]
-	g.pending[p] = q[1:]
-	b := g.blocks[h]
-	delete(g.blocks, h)
-	var u observer.Update
-	if prev, ok := g.last[b]; ok {
-		u.Edges = append(u.Edges, observer.STEdge{From: prev, To: h})
-	} else {
-		u.Firsts = append(u.Firsts, observer.FirstStore{Block: b, Node: h})
-	}
-	g.last[b] = h
-	return u
-}
-
-// Finish serializes all still-pending stores deterministically.
-func (g *Generator) Finish() observer.Update {
-	var u observer.Update
-	for p := trace.ProcID(1); int(p) <= g.procs; p++ {
-		for len(g.pending[p]) > 0 {
-			step := g.serializeHead(p)
-			u.Edges = append(u.Edges, step.Edges...)
-			u.Firsts = append(u.Firsts, step.Firsts...)
-		}
-	}
-	return u
-}
-
-// Clone implements observer.CloneableGenerator.
-func (g *Generator) Clone() observer.STOrderGenerator {
-	out := NewGenerator(g.procs)
-	for p, q := range g.pending {
-		out.pending[p] = append([]observer.NodeHandle(nil), q...)
-	}
-	for b, h := range g.last {
-		out.last[b] = h
-	}
-	for h, b := range g.blocks {
-		out.blocks[h] = b
-	}
-	return out
-}
-
-// StateKey encodes the generator state with raw handles; the observer
-// substitutes canonical IDs through the role-resolution hook.
-func (g *Generator) StateKey() []byte {
-	return g.StateKeyResolved(func(h observer.NodeHandle) int { return int(h) })
-}
-
-// StateKeyResolved implements observer.ResolvableGenerator.
-func (g *Generator) StateKeyResolved(resolve func(observer.NodeHandle) int) []byte {
-	var key []byte
-	for p := trace.ProcID(1); int(p) <= g.procs; p++ {
-		q := g.pending[p]
-		key = binary.AppendUvarint(key, uint64(len(q)))
-		for _, h := range q {
-			key = binary.AppendUvarint(key, uint64(resolve(h)))
-			key = binary.AppendUvarint(key, uint64(g.blocks[h]))
-		}
-	}
-	blocks := make([]int, 0, len(g.last))
-	for b := range g.last {
-		blocks = append(blocks, int(b))
-	}
-	sort.Ints(blocks)
-	for _, b := range blocks {
-		key = binary.AppendUvarint(key, uint64(b))
-		key = binary.AppendUvarint(key, uint64(resolve(g.last[trace.BlockID(b)])))
-	}
-	return key
-}
-
-// Roles implements observer.RoleGenerator: pending stores in (processor,
-// FIFO) order, then per-block last serialized stores in block order.
-func (g *Generator) Roles(visit func(observer.NodeHandle)) {
-	for p := trace.ProcID(1); int(p) <= g.procs; p++ {
-		for _, h := range g.pending[p] {
-			visit(h)
-		}
-	}
-	blocks := make([]int, 0, len(g.last))
-	for b := range g.last {
-		blocks = append(blocks, int(b))
-	}
-	sort.Ints(blocks)
-	for _, b := range blocks {
-		visit(g.last[trace.BlockID(b)])
-	}
-}
-
-// Idle implements observer.IdleGenerator: Finish is a no-op exactly when
-// no stores await serialization.
-func (g *Generator) Idle() bool {
-	for _, q := range g.pending {
-		if len(q) > 0 {
-			return false
-		}
-	}
-	return true
+	return observer.NewQueueGenerator("memory-write", procs)
 }

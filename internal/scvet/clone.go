@@ -9,17 +9,26 @@ import (
 )
 
 // analyzeClones implements SV002 (clone-incomplete) and SV003
-// (clone-unread-field) over every function named Clone or clone.
+// (clone-unread-field) over every function named Clone or clone, and over
+// every CopyFrom method, whose source parameter plays the receiver's part:
+// CopyFrom overwrites its receiver with a deep copy of the source, so a
+// source field it never reads is state the copy silently keeps stale.
 func analyzeClones(p *Package) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || strings.ToLower(fd.Name.Name) != "clone" {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			out = append(out, lintCloneLiterals(p, fd)...)
-			out = append(out, lintCloneReceiver(p, fd)...)
+			switch {
+			case strings.ToLower(fd.Name.Name) == "clone":
+				out = append(out, lintCloneLiterals(p, fd)...)
+				out = append(out, lintCloneReceiver(p, fd)...)
+			case fd.Name.Name == "CopyFrom":
+				out = append(out, lintCloneLiterals(p, fd)...)
+				out = append(out, lintCopyFromSource(p, fd)...)
+			}
 		}
 	}
 	return out
@@ -163,20 +172,92 @@ func lintCloneReceiver(p *Package, fd *ast.FuncDecl) []Finding {
 		return nil
 	}
 	recv := fd.Recv.List[0].Names[0].Name
-	if recv == "" || recv == "_" {
+	sn := baseTypeIdent(fd.Recv.List[0].Type)
+	missing := unmentionedFields(p, fd.Body, recv, sn)
+	if len(missing) == 0 {
 		return nil
 	}
+	return []Finding{{Rule: RuleCloneUnread, Pos: p.Fset.Position(fd.Pos()), Msg: fmt.Sprintf(
+		"Clone method on %s never mentions field(s) %s: they cannot have been copied",
+		sn, strings.Join(missing, ", "))}}
+}
+
+// notCopiedMark, in a field's comment, declares a field that CopyFrom
+// leaves with the destination (an output sink, reusable storage); the
+// source-read rule skips it.
+const notCopiedMark = "not copied: destination-owned"
+
+// lintCopyFromSource checks a CopyFrom method reads every field of its
+// source, by the same mention rules as lintCloneReceiver, except fields
+// marked notCopiedMark. The source is the parameter when it has the
+// receiver's type; when the parameter is an interface, it is the variable
+// the body type-asserts it into (`s := src.(*T)`).
+func lintCopyFromSource(p *Package, fd *ast.FuncDecl) []Finding {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 || fd.Type.Params == nil || len(fd.Type.Params.List) != 1 {
+		return nil
+	}
+	param := fd.Type.Params.List[0]
 	sn := baseTypeIdent(fd.Recv.List[0].Type)
-	if sn == "" {
+	if len(param.Names) != 1 || sn == "" {
+		return nil
+	}
+	src := param.Names[0].Name
+	if baseTypeIdent(param.Type) != sn {
+		src = assertedVar(fd.Body, src, sn)
+	}
+	var missing []string
+	for _, f := range unmentionedFields(p, fd.Body, src, sn) {
+		if !strings.Contains(p.FieldDocs[sn][f], notCopiedMark) {
+			missing = append(missing, f)
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	return []Finding{{Rule: RuleCloneUnread, Pos: p.Fset.Position(fd.Pos()), Msg: fmt.Sprintf(
+		"CopyFrom method on %s never reads field(s) %s of its source: they cannot have been copied",
+		sn, strings.Join(missing, ", "))}}
+}
+
+// assertedVar returns the variable that body assigns the type assertion
+// v.(*sn) or v.(sn) to, "" when there is none.
+func assertedVar(body *ast.BlockStmt, v, sn string) string {
+	found := ""
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || found != "" || len(as.Rhs) != 1 || len(as.Lhs) == 0 {
+			return found == ""
+		}
+		ta, ok := as.Rhs[0].(*ast.TypeAssertExpr)
+		if !ok || ta.Type == nil || baseTypeIdent(ta.Type) != sn {
+			return true
+		}
+		if x, ok := ta.X.(*ast.Ident); ok && x.Name == v {
+			if id, ok := as.Lhs[0].(*ast.Ident); ok {
+				found = id.Name
+			}
+		}
+		return true
+	})
+	return found
+}
+
+// unmentionedFields lists, sorted, the fields of struct sn that body never
+// mentions through the variable v: as a `v.field` read, as a key in an sn
+// literal, or implicitly via a whole-struct `*v` copy or v handed to a
+// helper.
+func unmentionedFields(p *Package, body *ast.BlockStmt, v, sn string) []string {
+	if v == "" || v == "_" || sn == "" {
 		return nil
 	}
 	fields, ok := p.Structs[sn]
 	if !ok || len(fields) == 0 {
 		return nil
 	}
+	recv := v
 	mentioned := make(map[string]bool)
 	wholeCopy := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.SelectorExpr:
 			if id, ok := v.X.(*ast.Ident); ok && id.Name == recv {
@@ -217,11 +298,6 @@ func lintCloneReceiver(p *Package, fd *ast.FuncDecl) []Finding {
 			missing = append(missing, fn)
 		}
 	}
-	if len(missing) == 0 {
-		return nil
-	}
 	sort.Strings(missing)
-	return []Finding{{Rule: RuleCloneUnread, Pos: p.Fset.Position(fd.Pos()), Msg: fmt.Sprintf(
-		"Clone method on %s never mentions field(s) %s: they cannot have been copied",
-		sn, strings.Join(missing, ", "))}}
+	return missing
 }

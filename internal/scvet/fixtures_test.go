@@ -109,6 +109,10 @@ func runFixture(t *testing.T, dir, analyzer string) {
 	}
 }
 
+// TestCloneFixture checks SV002/SV003 on badpkg's Clone and CopyFrom
+// cases, including the CopyFrom source-read rule.
+func TestCloneFixture(t *testing.T) { runFixture(t, "testdata/badpkg", "clone") }
+
 func TestGuardedByFixture(t *testing.T) { runFixture(t, "testdata/guardedbypkg", "guardedby") }
 
 func TestWireFlagFixture(t *testing.T) { runFixture(t, "testdata/wireflagpkg", "wireflag") }

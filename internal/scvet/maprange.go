@@ -370,7 +370,7 @@ func lintEncodingFunc(p *Package, fd *ast.FuncDecl) []Finding {
 			}
 		case *ast.CallExpr:
 			if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
-				if base, ok := sel.X.(*ast.Ident); ok && base.Name == "sort" && len(v.Args) > 0 {
+				if base, ok := sel.X.(*ast.Ident); ok && isSortCall(base.Name, sel.Sel.Name) && len(v.Args) > 0 {
 					if id := leftmostIdent(v.Args[0]); id != nil {
 						events = append(events, event{pos: v.Pos(), kind: 1, name: id.Name})
 					}
@@ -395,6 +395,12 @@ func lintEncodingFunc(p *Package, fd *ast.FuncDecl) []Finding {
 		}
 	}
 	return out
+}
+
+// isSortCall reports whether pkg.fn sorts its first argument in place:
+// anything in package sort, or one of package slices' Sort functions.
+func isSortCall(pkg, fn string) bool {
+	return pkg == "sort" || pkg == "slices" && strings.HasPrefix(fn, "Sort")
 }
 
 // appendTargets lists the names of slices grown via `s = append(s, ...)`

@@ -78,7 +78,7 @@ type pair struct {
 
 // clone copies a pair but forgets field b. [SV002]
 func clone(p pair) *pair {
-	return &pair{a: p.a}
+	return &pair{a: p.a} // want "pair literal in clone leaves field\(s\) b"
 }
 
 type tracker struct {
@@ -89,8 +89,8 @@ type tracker struct {
 
 // Clone covers owner in the literal and ids by later assignment, but count
 // is neither in the literal nor ever read from the receiver. [SV002 SV003]
-func (t *tracker) Clone() *tracker {
-	out := &tracker{owner: make(map[int]int, len(t.owner))}
+func (t *tracker) Clone() *tracker { // want "Clone method on tracker never mentions field\(s\) count"
+	out := &tracker{owner: make(map[int]int, len(t.owner))} // want "tracker literal in Clone leaves field\(s\) count"
 	for k, v := range t.owner {
 		out.owner[k] = v
 	}
@@ -105,7 +105,7 @@ type meta struct {
 
 // Clone writes every field of the copy, so the literal is complete, but
 // seen is invented rather than read from the receiver. [SV003]
-func (m *meta) Clone() *meta {
+func (m *meta) Clone() *meta { // want "Clone method on meta never mentions field\(s\) seen"
 	out := new(meta)
 	out.tag = m.tag
 	out.seen = false
@@ -142,4 +142,43 @@ func (r *rnode) Clone() *rnode {
 func (p *pair) Clone() *pair {
 	cp := *p
 	return &cp
+}
+
+type buffer struct {
+	data []int
+	sink func(int) // not copied: destination-owned
+	gen  int
+}
+
+// CopyFrom overwrites b with src's contents, reusing b's storage; the sink
+// is declared to stay with the destination, but gen is never read, so the
+// copy keeps b's stale generation. [SV003]
+func (b *buffer) CopyFrom(src *buffer) { // want "CopyFrom method on buffer never reads field\(s\) gen of its source"
+	b.data = append(b.data[:0], src.data...)
+}
+
+// source is an interface a CopyFrom may take in place of its own type.
+type source interface{ Len() int }
+
+type ring struct {
+	items []int
+	head  int
+}
+
+func (r *ring) Len() int { return len(r.items) }
+
+// CopyFrom type-asserts its interface parameter back to *ring but never
+// reads head. [SV003]
+func (r *ring) CopyFrom(src source) { // want "CopyFrom method on ring never reads field\(s\) head of its source"
+	s := src.(*ring)
+	r.items = append(r.items[:0], s.items...)
+}
+
+type span struct {
+	lo, hi int
+}
+
+// CopyFrom via whole-struct copy; must stay clean.
+func (s *span) CopyFrom(src *span) {
+	*s = *src
 }
