@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet vet-full test race race-scratch scvet lint witness fuzz-burst smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos chaos-grid soak bench-test bench clean
+.PHONY: tier1 build vet vet-full test race race-scratch flake scvet lint witness fuzz-burst smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos chaos-grid soak bench-test bench clean
 
-tier1: build vet-full race race-scratch witness smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos fuzz-burst bench-test
+tier1: build vet-full race race-scratch flake witness smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos fuzz-burst bench-test
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,15 @@ race-scratch:
 	$(GO) test -race -count=3 -run='TestCopyFromMatchesClone' ./internal/checker
 	$(GO) test -race -count=3 -run='TestObserverCopyFromMatchesClone' ./internal/observer
 
+# flake: the concurrency suites repeated under the race detector, so that
+# a test that fails one run in ten fails here rather than in a later full
+# run — the scserve session storm, concurrent sessions and graceful
+# shutdown, and the grid kill and drain smokes. About a minute.
+flake:
+	$(GO) test -race -count=10 -run='TestMultiTenantStorm|TestServerConcurrentSessions|TestGracefulShutdown' ./internal/scserve
+	$(GO) test -race -count=10 -run='TestGridSmokeKillBackend' ./internal/scgrid
+	$(GO) test -race -count=10 -run='TestGridSmokeDrainBackend' ./internal/sctest
+
 # scvet: the repo's own soundness analyzers (map order in encodings,
 # clone completeness, lock discipline, wire-flag hygiene, verdict
 # transparency, atomic/plain mixing) applied to the repo itself. Fails
@@ -48,8 +57,13 @@ lint:
 # witness: the golden counterexample explanations for the built-in non-SC
 # protocols, plus the minimizer's 1-minimality/certification contract.
 # Regenerate goldens with: go test ./internal/witness -run Golden -update
+# Then the cycle checker's own witness output: the hashed cycles of long
+# directory streams, checked hop by hop against descriptor.Decode, and the
+# truncation of chains longer than the per-edge cap.
 witness:
 	$(GO) test -run='TestGoldenExplanations|TestMinimizedWitnessProperties' -count=1 ./internal/witness
+	$(GO) test -run='TestWitnessCorpusGolden' -count=1 ./internal/checker
+	$(GO) test -run='TestWitnessTruncatesLongChains' -count=1 ./internal/cycle
 
 # fuzz-burst: a short CI-budget run of each fuzz target; regressions in
 # the corpus replay in normal `go test`, this additionally explores.

@@ -104,8 +104,9 @@ func (c *Checker) Clone() *Checker {
 		out.lab = append([]uint8(nil), c.lab...)
 		out.via = make(map[int32][]Hop, len(c.via))
 		for k, v := range c.via {
-			// Chains are immutable once built (noteContraction always
-			// allocates fresh), so sharing the slices is safe.
+			// Chains are never modified once stored (noteContraction
+			// builds a new one or stores an existing truncated one as
+			// is), so sharing the slices is safe.
 			out.via[k] = v
 		}
 	}
@@ -273,11 +274,11 @@ func (c *Checker) contractOut(slot int) {
 			}
 		}
 	}
+	c.clearWitness(slot)
 	for i := 0; i < n; i++ {
 		c.adj[i*n+slot] = false
 		c.adj[slot*n+i] = false
 	}
-	c.clearWitness(slot)
 }
 
 // reachable reports whether dst is reachable from src in the active graph.

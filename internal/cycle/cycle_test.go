@@ -1,6 +1,8 @@
 package cycle
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -304,5 +306,100 @@ func TestStatsCounters(t *testing.T) {
 	st := c.Stats()
 	if st.Symbols != 4 || st.Edges != 1 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+func TestWitnessTruncatesLongChains(t *testing.T) {
+	// Node A (ID 1) and a path A → x1 → … → x100 whose nodes alternate IDs
+	// 2 and 3: each new node takes the ID of the one two back, contracting
+	// it into the edge from A. Aliasing ID 2 onto x100 contracts x99, which
+	// leaves the single edge A → x100 with x1…x99 in its chain, truncated
+	// to x1…x64 and the elision marker. The back edge x100 → A closes it.
+	const m = 100
+	c := New(2).EnableWitness()
+	syms := stream(node(1), node(2), edge(1, 2))
+	ids := [2]int{2, 3} // x_i holds ids[(i-1)%2]
+	for i := 2; i <= m; i++ {
+		syms = append(syms, node(ids[(i-1)%2]), edge(ids[i%2], ids[(i-1)%2]))
+	}
+	syms = append(syms, addID(ids[(m-1)%2], ids[m%2]))
+	for _, sym := range syms {
+		if err := c.Step(sym); err != nil {
+			t.Fatalf("%s: %v", sym.Text(), err)
+		}
+	}
+	if got := c.Active(); got != 2 {
+		t.Fatalf("active = %d, want 2 (A and x%d)", got, m)
+	}
+	var ce *CycleError
+	if !errors.As(c.Step(edge(ids[(m-1)%2], 1)), &ce) {
+		t.Fatalf("back edge: got %v, want a CycleError", c.Err())
+	}
+	if len(ce.Hops) != maxVia+3 {
+		t.Fatalf("len(Hops) = %d, want %d: %s", len(ce.Hops), maxVia+3, ce)
+	}
+	if got := ce.Len(); got != maxVia+2 {
+		t.Errorf("Len() = %d, want %d", got, maxVia+2)
+	}
+	// Node Seq is creation order: A is 0 and x_i is i.
+	var seqs []int
+	for i, h := range ce.Hops {
+		if h.Node.Seq < 0 {
+			if i != maxVia+1 {
+				t.Errorf("elision marker at hop %d, want only at %d", i, maxVia+1)
+			}
+			continue
+		}
+		seqs = append(seqs, h.Node.Seq)
+	}
+	want := []int{0}
+	for i := 1; i <= maxVia; i++ {
+		want = append(want, i)
+	}
+	want = append(want, m)
+	if fmt.Sprint(seqs) != fmt.Sprint(want) {
+		t.Errorf("concrete hops = %v, want %v", seqs, want)
+	}
+}
+
+func TestWitnessBookkeepingOnlyOnLiveEdges(t *testing.T) {
+	// Streams as in TestDifferentialOnEncodedDAGs, with labelled edges so
+	// that lab entries are nonzero: after every Step, lab and via may hold
+	// entries only where adj is set (clearWitness relies on it).
+	kinds := []graph.EdgeKind{graph.Inheritance, graph.ProgramOrder, graph.StoreOrder, graph.Forced, graph.ProgramOrder | graph.StoreOrder}
+	rng := rand.New(rand.NewSource(12))
+	contractions := 0
+	for i := 0; i < 50; i++ {
+		n := 3 + rng.Intn(30)
+		tr := make(trace.Trace, n)
+		for j := range tr {
+			tr[j] = trace.ST(1, 1, 1)
+		}
+		g := graph.New(tr)
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				if rng.Float64() < 0.2 {
+					g.AddEdge(a, b, kinds[rng.Intn(len(kinds))])
+				}
+			}
+		}
+		s, k := descriptor.EncodeAuto(g)
+		c := New(k).EnableWitness()
+		for j, sym := range s {
+			if err := c.Step(sym); err != nil {
+				t.Fatalf("DAG %d: encoded DAG rejected: %v", i, err)
+			}
+			for key, live := range c.adj {
+				_, hasVia := c.via[int32(key)]
+				if !live && (c.lab[key] != 0 || hasVia) {
+					t.Fatalf("DAG %d symbol %d: absent edge %d→%d keeps lab %d, via %v",
+						i, j, key/c.n, key%c.n, c.lab[key], hasVia)
+				}
+			}
+		}
+		contractions += c.stats.Contractions
+	}
+	if contractions == 0 {
+		t.Error("no stream contracted a node")
 	}
 }

@@ -117,14 +117,13 @@ func (c *Checker) noteNode(slot int16, v descriptor.Node) {
 	c.refs[slot] = NodeRef{Seq: c.seq, ID: v.ID, Op: v.Op}
 }
 
-// noteEdge records the label of a freshly added direct edge.
+// noteEdge records the label of a freshly added direct edge. The edge was
+// absent, so it has no via chain to drop (see clearWitness).
 func (c *Checker) noteEdge(f, t int16, label descriptor.EdgeLabel) {
 	if !c.witness {
 		return
 	}
-	key := c.edgeKey(int(f), int(t))
-	c.lab[key] = uint8(label)
-	delete(c.via, key)
+	c.lab[c.edgeKey(int(f), int(t))] = uint8(label)
 }
 
 // noteContraction records provenance for edge (p,s) created by contracting
@@ -133,7 +132,16 @@ func (c *Checker) noteContraction(p, slot, s int) {
 	if !c.witness {
 		return
 	}
+	key := c.edgeKey(p, s)
+	c.lab[key] = c.lab[c.edgeKey(p, slot)]
 	pre := c.via[c.edgeKey(p, slot)]
+	if len(pre) > maxVia {
+		// pre is already truncated (maxVia hops and the elision marker),
+		// and the longer chain truncates to exactly pre. Chains are never
+		// modified once stored, so the two edges share it.
+		c.via[key] = pre
+		return
+	}
 	post := c.via[c.edgeKey(slot, s)]
 	chain := make([]Hop, 0, len(pre)+1+len(post))
 	chain = append(chain, pre...)
@@ -142,22 +150,24 @@ func (c *Checker) noteContraction(p, slot, s int) {
 	if len(chain) > maxVia {
 		chain = append(chain[:maxVia:maxVia], Hop{Node: NodeRef{Seq: -1}})
 	}
-	key := c.edgeKey(p, s)
-	c.lab[key] = c.lab[c.edgeKey(p, slot)]
 	c.via[key] = chain
 }
 
 // clearWitness drops witness bookkeeping for every edge touching the slot,
-// after the slot has been contracted out.
+// before the slot's row and column of adj are cleared. It relies on the
+// invariant that lab and via hold entries only for live edges, so it visits
+// only those.
 func (c *Checker) clearWitness(slot int) {
 	if !c.witness {
 		return
 	}
 	for i := 0; i < c.n; i++ {
-		k1, k2 := c.edgeKey(i, slot), c.edgeKey(slot, i)
-		c.lab[k1], c.lab[k2] = 0, 0
-		delete(c.via, k1)
-		delete(c.via, k2)
+		for _, k := range [2]int32{c.edgeKey(i, slot), c.edgeKey(slot, i)} {
+			if c.adj[k] {
+				c.lab[k] = 0
+				delete(c.via, k)
+			}
+		}
 	}
 }
 
