@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 build vet vet-full test race race-scratch flake scvet lint witness fuzz-burst smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos chaos-grid soak bench-test bench clean
+.PHONY: tier1 build fmt vet vet-full test race race-scratch flake scvet lint witness fuzz-burst smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos chaos-grid soak bench-test bench clean
 
 tier1: build vet-full race race-scratch flake witness smoke-serve smoke-grid smoke-drain smoke-history smoke-tier smoke-mc chaos fuzz-burst bench-test
 
@@ -13,10 +13,15 @@ build:
 vet:
 	$(GO) vet ./...
 
-# vet-full: the whole static-verification surface in one target — the
-# toolchain's vet, the repo's own scvet suite (SV001–SV007) self-applied,
-# and Γ-membership linting of every registered protocol.
-vet-full: vet scvet lint
+# fmt: every Go file is gofmt-clean; the unformatted ones are listed.
+fmt:
+	@bad=$$(gofmt -l cmd internal examples bench); \
+	if [ -n "$$bad" ]; then echo "not gofmt-clean:"; echo "$$bad"; exit 1; fi
+
+# vet-full: the whole static-verification surface in one target — gofmt,
+# the toolchain's vet, the repo's own scvet suite (SV001–SV007)
+# self-applied, and Γ-membership linting of every registered protocol.
+vet-full: fmt vet scvet lint
 
 test:
 	$(GO) test ./...
@@ -83,6 +88,7 @@ fuzz-burst:
 	$(GO) test -run='^$$' -fuzz=FuzzExploreFrame -fuzztime=$(FUZZTIME) ./internal/scserve
 	$(GO) test -run='^$$' -fuzz=FuzzMinimizer -fuzztime=$(FUZZTIME) ./internal/witness
 	$(GO) test -run='^$$' -fuzz=FuzzHistoryJSONL -fuzztime=$(FUZZTIME) ./internal/history
+	$(GO) test -run='^$$' -fuzz=FuzzJSONLMatchesOracle -fuzztime=$(FUZZTIME) ./internal/history
 	$(GO) test -run='^$$' -fuzz=FuzzHistoryEDN -fuzztime=$(FUZZTIME) ./internal/history
 
 # smoke-serve: race-enabled client↔server smoke of the scserve session

@@ -201,8 +201,8 @@ func (o Op) String() string {
 //     rejected.
 func (h *History) Ops(strict bool) ([]Op, error) {
 	type pend struct {
-		op  int // index into ops
-		ev  int // invoke event index
+		op int // index into ops
+		ev int // invoke event index
 	}
 	pending := make(map[int]pend)
 	perProc := make(map[int]int)

@@ -157,6 +157,8 @@ func TestJSONLRejects(t *testing.T) {
 		`{"process":0,"type":"invoke","f":"cas","key":"x"}`,
 		`{"process":0,"type":"invoke","f":"read"}`,
 		`{"process":0,"type":"invoke","f":"read","key":"x","value":1.5}`,
+		`{"process":0,"type":"invoke","f":"read","key":"x"}}`,
+		`{"process":0,"type":"invoke","f":"read","key":"x"}]`,
 	}
 	for _, in := range cases {
 		if _, err := ParseJSONL(strings.NewReader(in)); err == nil {

@@ -99,26 +99,30 @@ func Lower(h *History) (*Lowering, error) {
 
 	// Pass 1: which (key, value) pairs did some OK read return? An
 	// indeterminate write is kept iff observed.
-	observed := make(map[[2]any]bool)
+	type keyValue struct {
+		key   string
+		value int64
+	}
+	observed := make(map[keyValue]bool)
 	for _, op := range ops {
 		if op.F == Read && op.Outcome == OK && op.HasValue {
-			observed[[2]any{op.Key, op.Value}] = true
+			observed[keyValue{op.Key, op.Value}] = true
 		}
 	}
 
 	// Pass 2: select the lowered ops and enforce write-value uniqueness.
 	kept := make([]int, 0, len(ops))
-	writeOf := make(map[[2]any]int) // (key, value) → ops index of its write
+	writeOf := make(map[keyValue]int) // (key, value) → ops index of its write
 	for i, op := range ops {
 		switch {
 		case op.F == Write && op.Outcome == OK,
-			op.F == Write && op.Outcome == Info && observed[[2]any{op.Key, op.Value}]:
-			if j, dup := writeOf[[2]any{op.Key, op.Value}]; dup {
+			op.F == Write && op.Outcome == Info && observed[keyValue{op.Key, op.Value}]:
+			if j, dup := writeOf[keyValue{op.Key, op.Value}]; dup {
 				return nil, errAt(op.Invoke,
 					"%s duplicates the value of %s (event %d): history checking requires unique write values per key",
 					op, ops[j], ops[j].Invoke)
 			}
-			writeOf[[2]any{op.Key, op.Value}] = i
+			writeOf[keyValue{op.Key, op.Value}] = i
 			kept = append(kept, i)
 		case op.F == Write && op.Outcome == Info:
 			l.Dropped.UnobservedWrites++
@@ -200,7 +204,11 @@ func Lower(h *History) (*Lowering, error) {
 	lastStore := make(map[trace.BlockID]int)
 	firstStore := make(map[trace.BlockID]int)
 	stSucc := make(map[int]int)
-	storeAt := make(map[[2]any]int) // (block, value) → trace position
+	type blockValue struct {
+		block trace.BlockID
+		value trace.Value
+	}
+	storeAt := make(map[blockValue]int) // (block, value) → trace position
 	for i, op := range l.Trace {
 		if prev, ok := lastOfProc[op.Proc]; ok {
 			g.AddEdge(prev, i, graph.ProgramOrder)
@@ -214,7 +222,7 @@ func Lower(h *History) (*Lowering, error) {
 				firstStore[op.Block] = i
 			}
 			lastStore[op.Block] = i
-			storeAt[[2]any{op.Block, op.Value}] = i
+			storeAt[blockValue{op.Block, op.Value}] = i
 		}
 	}
 	for i, op := range l.Trace {
@@ -227,7 +235,7 @@ func Lower(h *History) (*Lowering, error) {
 			}
 			continue
 		}
-		st, ok := storeAt[[2]any{op.Block, op.Value}]
+		st, ok := storeAt[blockValue{op.Block, op.Value}]
 		if !ok {
 			continue // phantom read: no inheritance edge, checker rejects
 		}

@@ -43,12 +43,12 @@ func rBot(p int, key string) seqOp           { return seqOp{p, Read, key, 0, fal
 
 func TestLowerRules(t *testing.T) {
 	h := histOf(
-		wOK(0, "x", 1),   // ST
-		wFail(0, "x", 2), // dropped: definite no-op
-		wInfo(1, "x", 3), // ST: observed by the read below
-		wInfo(1, "y", 4), // dropped: unobserved indeterminate write
-		rOK(2, "x", 3),   // LD, inherits from the info write
-		rBot(2, "y"),     // LD ⊥ (y's only write was dropped as unobserved)
+		wOK(0, "x", 1),                      // ST
+		wFail(0, "x", 2),                    // dropped: definite no-op
+		wInfo(1, "x", 3),                    // ST: observed by the read below
+		wInfo(1, "y", 4),                    // dropped: unobserved indeterminate write
+		rOK(2, "x", 3),                      // LD, inherits from the info write
+		rBot(2, "y"),                        // LD ⊥ (y's only write was dropped as unobserved)
 		seqOp{0, Read, "x", 0, false, Fail}, // dropped
 		seqOp{0, Read, "x", 0, false, Info}, // dropped
 	)

@@ -31,15 +31,15 @@ import (
 // may be sent between sessions (and are answered mid-session too). All
 // uvarints are unsigned varints in encoding/binary's format.
 const (
-	frameHello      byte = 0x01 // open a session: header payload
-	frameSymbols    byte = 0x02 // descriptor wire bytes
-	frameEnd        byte = 0x03 // end of symbol stream; request final verdict
-	frameStatsReq   byte = 0x04 // request a stats frame
-	frameDrain      byte = 0x05 // admin: set drain mode (uvarint 1=drain, 0=undrain)
-	frameExplore    byte = 0x06 // explore session: item batch, coordinator → backend
-	frameVerdict    byte = 0x81 // server → client: session verdict
-	frameStatsReply byte = 0x82 // server → client: JSON-encoded Stats
-	frameAck        byte = 0x83 // server → client: checkpointed progress ack
+	frameHello       byte = 0x01 // open a session: header payload
+	frameSymbols     byte = 0x02 // descriptor wire bytes
+	frameEnd         byte = 0x03 // end of symbol stream; request final verdict
+	frameStatsReq    byte = 0x04 // request a stats frame
+	frameDrain       byte = 0x05 // admin: set drain mode (uvarint 1=drain, 0=undrain)
+	frameExplore     byte = 0x06 // explore session: item batch, coordinator → backend
+	frameVerdict     byte = 0x81 // server → client: session verdict
+	frameStatsReply  byte = 0x82 // server → client: JSON-encoded Stats
+	frameAck         byte = 0x83 // server → client: checkpointed progress ack
 	frameExploreFwd  byte = 0x84 // explore session: item batch, backend → coordinator
 	frameExploreRep  byte = 0x85 // explore session: credit/progress report
 	frameExploreViol byte = 0x86 // explore session: violation path + rejection message

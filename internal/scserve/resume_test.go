@@ -51,11 +51,11 @@ func TestHelloWireCompat(t *testing.T) {
 
 	bad := [][]byte{
 		appendHello(nil, Header{K: 5, Token: string(bytes.Repeat([]byte{'x'}, maxTokenLen+1))}),
-		{1, 5, 0, 0, 0, helloFlagResume},               // resume without token
-		{1, 5, 0, 0, 0, helloFlagToken},                // flag without token bytes
-		{1, 5, 0, 0, 0, helloFlagToken, 3, 'a'},        // truncated token
-		{1, 5, 0, 0, 0, helloFlagToken, 0},             // empty token
-		append(appendHello(nil, Header{K: 5}), 0),      // trailing byte
+		{1, 5, 0, 0, 0, helloFlagResume},                             // resume without token
+		{1, 5, 0, 0, 0, helloFlagToken},                              // flag without token bytes
+		{1, 5, 0, 0, 0, helloFlagToken, 3, 'a'},                      // truncated token
+		{1, 5, 0, 0, 0, helloFlagToken, 0},                           // empty token
+		append(appendHello(nil, Header{K: 5}), 0),                    // trailing byte
 		{1, 5, 0, 0, 0, helloFlagToken | helloFlagResume, 1, 'a', 7}, // missing ack offset
 	}
 	for i, payload := range bad {
