@@ -82,6 +82,7 @@ fuzz-burst:
 	$(GO) test -run='^$$' -fuzz=FuzzDecoder -fuzztime=$(FUZZTIME) ./internal/descriptor
 	$(GO) test -run='^$$' -fuzz=FuzzFrameParser -fuzztime=$(FUZZTIME) ./internal/scserve
 	$(GO) test -run='^$$' -fuzz=FuzzServerConn -fuzztime=$(FUZZTIME) ./internal/scserve
+	$(GO) test -run='^$$' -fuzz=FuzzSessionMatchesLocal -fuzztime=$(FUZZTIME) ./internal/scserve
 	$(GO) test -run='^$$' -fuzz=FuzzResumeFrame -fuzztime=$(FUZZTIME) ./internal/scserve
 	$(GO) test -run='^$$' -fuzz=FuzzRetryClient -fuzztime=$(FUZZTIME) ./internal/scserve
 	$(GO) test -run='^$$' -fuzz=FuzzTierVerdictFrame -fuzztime=$(FUZZTIME) ./internal/scserve

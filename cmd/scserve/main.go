@@ -3,8 +3,8 @@
 // running systems stream k-graph descriptors to a central adjudicator.
 // Clients (package scserve's Client, or `sctest -server`) open length-
 // framed sessions, stream descriptor wire bytes, and receive one verdict
-// frame each; every session gets a dedicated checker goroutine behind a
-// bounded queue.
+// frame each; every session's checker runs on its connection's goroutine,
+// and TCP flow control is its backpressure.
 //
 // Usage:
 //
@@ -99,7 +99,6 @@ func main() {
 		maxSessions  = flag.Int("max-sessions", 256, "maximum concurrent sessions")
 		maxFrame     = flag.Int("max-frame", 1<<20, "maximum frame payload bytes")
 		maxK         = flag.Int("max-k", 4096, "maximum session bandwidth bound k")
-		queueBytes   = flag.Int("queue", 64<<10, "per-session symbol queue bytes")
 		readTimeout  = flag.Duration("read-timeout", 30*time.Second, "per-frame read / idle timeout (0 disables)")
 		writeTimeout = flag.Duration("write-timeout", time.Minute, "per-write deadline (negative disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain budget")
@@ -132,7 +131,6 @@ func main() {
 		MaxSessions:       *maxSessions,
 		MaxFrame:          *maxFrame,
 		MaxK:              *maxK,
-		QueueBytes:        *queueBytes,
 		ReadTimeout:       *readTimeout,
 		WriteTimeout:      *writeTimeout,
 		AckInterval:       *ackInterval,

@@ -263,8 +263,9 @@ func (s *Session) Send(syms ...descriptor.Symbol) error {
 // SendBytes streams raw descriptor wire bytes, split into frames of at
 // most maxChunk. The bytes need not align with symbol boundaries. An
 // empty raw sends one empty symbols frame — a keepalive that gives the
-// server a turn to emit pending progress acks (acks ride between frame
-// reads on the server's connection loop).
+// server a turn to write what is pending, progress acks or an early
+// verdict (inside a session the server writes only in answer to a client
+// frame).
 func (s *Session) SendBytes(raw []byte) error {
 	if s.done {
 		return fmt.Errorf("scserve: send after Finish")

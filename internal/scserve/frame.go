@@ -24,11 +24,13 @@ import (
 //	client: symbols* (payloads concatenate into one descriptor byte stream;
 //	        frames may split the stream anywhere, even mid-symbol)
 //	client: end
-//	server: one verdict frame per session — emitted early on rejection,
-//	        otherwise in response to end
+//	server: one verdict frame per session — in response to end, or, once
+//	        the checker stops early (rejection, undecodable input), to the
+//	        next symbols frame (an empty one included) or end
 //
 // A connection carries any number of sessions sequentially; stats frames
-// may be sent between sessions (and are answered mid-session too). All
+// may be sent between sessions (and are answered mid-session too). Inside
+// a session the server writes only in answer to a client frame. All
 // uvarints are unsigned varints in encoding/binary's format.
 const (
 	frameHello       byte = 0x01 // open a session: header payload

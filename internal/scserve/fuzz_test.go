@@ -366,7 +366,7 @@ func FuzzServerConn(f *testing.F) {
 	f.Add([]byte{frameDrain, 0x02, 0x01, 0x99}) // trailing bytes after mode
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		srv := New(Config{MaxFrame: 1 << 16, MaxK: 64, QueueBytes: 512, ReadTimeout: 2 * time.Second})
+		srv := New(Config{MaxFrame: 1 << 16, MaxK: 64, ReadTimeout: 2 * time.Second})
 		server, client := net.Pipe()
 		srv.wg.Add(1)
 		go srv.handleConn(server)

@@ -4,9 +4,10 @@
 // emit descriptor streams and a central adjudicator accepts or rejects
 // them. Clients open length-framed sessions over TCP (see frame.go for the
 // protocol), stream descriptor wire bytes, and receive one structured
-// verdict per session; each session runs a dedicated checker.Checker in
-// its own goroutine behind a bounded byte queue, so a fast producer is
-// throttled by TCP backpressure rather than buffered without bound.
+// verdict per session; each session runs a dedicated checker.Checker on
+// its connection's goroutine, decoding symbols straight off the frames and
+// reading the next frame only once the current one is checked, so a fast
+// producer is throttled by TCP backpressure rather than buffered.
 //
 // Sessions that announce a resume token are additionally fault tolerant:
 // the server clones the checker at symbol boundaries (checker.Clone),
@@ -40,12 +41,6 @@ import (
 // ErrServerClosed is returned by Serve after Shutdown begins.
 var ErrServerClosed = errors.New("scserve: server closed")
 
-// errSessionOver unblocks a producer once its session has a verdict.
-var errSessionOver = errors.New("scserve: session terminated")
-
-// errClientGone aborts a checker whose client vanished mid-session.
-var errClientGone = errors.New("scserve: client connection lost")
-
 // Config tunes a Server. The zero value gets sane defaults from New.
 type Config struct {
 	// MaxSessions caps concurrently open sessions; further hellos receive
@@ -58,9 +53,6 @@ type Config struct {
 	// allocates Θ(k²) state, so k is a resource the client must not
 	// control unboundedly. Default 4096.
 	MaxK int
-	// QueueBytes bounds each session's symbol queue (frame reader to
-	// checker goroutine). Default 64 KiB.
-	QueueBytes int
 	// ReadTimeout bounds each frame read; it doubles as the idle timeout
 	// between sessions on a kept-alive connection. 0 disables.
 	ReadTimeout time.Duration
@@ -141,9 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxK <= 0 {
 		c.MaxK = 4096
 	}
-	if c.QueueBytes <= 0 {
-		c.QueueBytes = 64 << 10
-	}
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = time.Minute
 	}
@@ -186,7 +175,6 @@ type Stats struct {
 	ProtocolErrors  int64 `json:"protocol_errors"`
 	Busy            int64 `json:"busy"`
 	SymbolsTotal    int64 `json:"symbols_total"`
-	QueueBytes      int64 `json:"queue_bytes"`
 	Checkpoints     int64 `json:"checkpoints"`
 	CheckpointBytes int64 `json:"checkpoint_bytes"`
 	Resumes         int64 `json:"resumes"`
@@ -229,9 +217,9 @@ type TenantStats struct {
 
 // String renders the operator-facing one-liner.
 func (st Stats) String() string {
-	s := fmt.Sprintf("sessions %d (%d active, %d aborted), verdicts %d/%d/%d accept/reject/error, %d busy, %d symbols, queue %dB, %d checkpoints (%dB, %d resumes/%d replays/%d misses), %.0f symbols/s",
+	s := fmt.Sprintf("sessions %d (%d active, %d aborted), verdicts %d/%d/%d accept/reject/error, %d busy, %d symbols, %d checkpoints (%dB, %d resumes/%d replays/%d misses), %.0f symbols/s",
 		st.SessionsTotal, st.SessionsActive, st.SessionsAborted,
-		st.Accepts, st.Rejects, st.ProtocolErrors, st.Busy, st.SymbolsTotal, st.QueueBytes,
+		st.Accepts, st.Rejects, st.ProtocolErrors, st.Busy, st.SymbolsTotal,
 		st.Checkpoints, st.CheckpointBytes, st.Resumes, st.ResumeReplays, st.ResumeMisses, st.SymbolsPerSec)
 	if st.Draining {
 		s += " [DRAINING]"
@@ -280,7 +268,6 @@ type Server struct {
 	protoErrs       atomic.Int64
 	busy            atomic.Int64
 	symbolsTotal    atomic.Int64
-	queueBytes      atomic.Int64
 	resumes         atomic.Int64
 	resumeReplays   atomic.Int64
 	resumeMisses    atomic.Int64
@@ -448,7 +435,6 @@ func (s *Server) Stats() Stats {
 		ProtocolErrors:  s.protoErrs.Load(),
 		Busy:            s.busy.Load(),
 		SymbolsTotal:    s.symbolsTotal.Load(),
-		QueueBytes:      s.queueBytes.Load(),
 		Checkpoints:     ckN,
 		CheckpointBytes: ckB,
 		Resumes:         s.resumes.Load(),
@@ -783,9 +769,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// drainSession absorbs a rejected session's frames through its end frame
-// (the verdict was already sent), keeping the connection in a known-good
-// state for the next session. It reports whether the connection survives.
+// drainSession absorbs the frames of a session whose verdict is already
+// out, through its end frame, keeping the connection in a known-good state
+// for the next session; any other frame closes the connection without a
+// second verdict. It reports whether the connection survives.
 func (s *Server) drainSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer) bool {
 	for {
 		typ, _, err := s.readFrame(conn, br)
@@ -807,15 +794,9 @@ func (s *Server) drainSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer)
 	}
 }
 
-// ackPos is a checkpointed position published by the checker goroutine
-// for the conn loop to ack.
-type ackPos struct {
-	sym int
-	off int64
-}
-
-// runSession drives one session to its verdict. It reports whether the
-// connection is still in a known-good state for another session.
+// runSession drives one session to its verdict on the connection
+// goroutine. It reports whether the connection is still in a known-good
+// state for another session.
 func (s *Server) runSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, h Header, seed *resumeSeed) bool {
 	// The caller admitted the session (adm.admit). The slot goes back to
 	// the fair-share gate exactly once: before any verdict is written, so
@@ -836,136 +817,81 @@ func (s *Server) runSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, h
 	s.event("session_open", "session", id, "tenant", h.Tenant, "remote", conn.RemoteAddr().String(),
 		"token", h.Token != "", "resume", h.Resume)
 
-	sent := false    // verdict already delivered (early rejection / replay)
-	discard := false // checker gone; drop further symbol payloads
-	lastAck := int64(-1)
-	var prog atomic.Pointer[ackPos]
-	var pipe *bpipe
-	var resc chan Verdict
-
-	deliver := func(v Verdict) error {
-		releaseSlot()
-		s.countTenantVerdict(h.Tenant, v)
-		s.event("verdict", "session", id, "tenant", h.Tenant, "code", v.Code.String(), "symbol", v.Symbol)
-		return s.sendVerdict(conn, bw, v)
+	// abort ends a session that gets no verdict of its own. Token sessions
+	// keep their newest checkpoint in the resume store, so a reconnecting
+	// client picks up from there.
+	abort := func(err error) bool {
+		s.sessionsAborted.Add(1)
+		s.event("session_abort", "session", id, "tenant", h.Tenant)
+		s.logf("scserve: %s: session aborted: %v", conn.RemoteAddr(), err)
+		return false
 	}
-
+	src := &frameSource{s: s, conn: conn, br: br, bw: bw, tenant: h.Tenant}
 	if seed != nil {
 		// Confirm the resume position first: the client skips its buffer
 		// to this offset and replays from there.
 		s.resumes.Add(1)
 		if err := s.sendAck(conn, bw, seed.sym, seed.off); err != nil {
-			s.sessionsAborted.Add(1)
-			return false
+			return abort(err)
 		}
-		lastAck = seed.off
-	}
-	if seed != nil && seed.done != nil {
-		// The session already ran to a verdict; the client evidently lost
-		// it. The checker is deterministic, so the stored verdict IS the
-		// verdict of the replayed stream — resend it and absorb the tail.
-		s.resumeReplays.Add(1)
-		releaseSlot()
-		if err := s.writeVerdict(conn, bw, *seed.done); err != nil {
-			s.sessionsAborted.Add(1)
-			return false
-		}
-		sent, discard = true, true
-	} else {
-		pipe = newBPipe(s.cfg.QueueBytes, &s.queueBytes)
-		resc = make(chan Verdict, 1)
-		go s.checkLoop(h, seed, pipe, resc, &prog, func() { conn.Close() })
-	}
-
-	abort := func() {
-		if pipe != nil && !discard {
-			pipe.CloseWrite(errClientGone)
-			<-resc
-		}
-		s.sessionsAborted.Add(1)
-		s.event("session_abort", "session", id, "tenant", h.Tenant)
-	}
-
-	for {
-		typ, payload, err := s.readFrame(conn, br)
-		if err != nil {
-			// Client vanished mid-session: release the checker and drop its
-			// verdict. Token sessions keep their newest checkpoint in the
-			// resume store, so a reconnecting client picks up from there.
-			abort()
-			s.logf("scserve: %s: session aborted: %v", conn.RemoteAddr(), err)
-			return false
-		}
-		switch typ {
-		case frameSymbols:
-			if discard {
-				continue
-			}
-			if !s.chargeTenant(h.Tenant, len(payload)) {
-				// The tenant's byte bucket ran dry mid-stream: stop the
-				// checker and answer with the typed quota verdict. The
-				// session's newest checkpoint (if any) survives, so the
-				// client can resume once the bucket refills.
-				pipe.CloseWrite(errClientGone)
-				<-resc
-				s.event("quota_reject", "session", id, "tenant", h.Tenant, "kind", "bytes")
-				if err := deliver(QuotaVerdict(fmt.Sprintf("tenant %q over byte rate (%d B/s)",
-					h.Tenant, s.cfg.TenantBytesPerSec))); err != nil {
-					s.sessionsAborted.Add(1)
-					return false
-				}
-				sent, discard = true, true
-				continue
-			}
-			if _, werr := pipe.Write(payload); werr != nil {
-				// The checker terminated early (rejection or undecodable
-				// input). Deliver the verdict now; keep draining frames
-				// until the client's end so the connection stays usable.
-				v := <-resc
-				s.resume.finish(h.Token, v, v.Symbol, v.Offset)
-				if err := deliver(v); err != nil {
-					s.sessionsAborted.Add(1)
-					return false
-				}
-				sent, discard = true, true
-			}
-		case frameEnd:
-			if pipe != nil && !discard {
-				pipe.CloseWrite(nil)
-			}
-			if !sent {
-				v := <-resc
-				discard = true
-				s.resume.finish(h.Token, v, v.Symbol, v.Offset)
-				if err := deliver(v); err != nil {
-					s.sessionsAborted.Add(1)
-					return false
-				}
-			}
-			return !s.isClosed()
-		case frameStatsReq:
-			if err := s.sendStats(conn, bw); err != nil {
-				abort()
-				return false
-			}
-		default:
-			abort()
+		src.ckptSym, src.ckptOff, src.acked = seed.sym, seed.off, seed.off
+		if seed.done != nil {
+			// The session already ran to a verdict; the client evidently
+			// lost it. The checker is deterministic, so the stored verdict
+			// IS the verdict of the replayed stream — resend it and absorb
+			// the tail.
+			s.resumeReplays.Add(1)
 			releaseSlot()
-			s.sendVerdict(conn, bw, Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1,
-				Msg: fmt.Sprintf("unexpected frame type %#x inside session", typ)})
-			return false
-		}
-		// Ack any checkpoint the checker published since the last frame.
-		if h.Token != "" && !discard {
-			if p := prog.Load(); p != nil && p.off > lastAck {
-				if err := s.sendAck(conn, bw, p.sym, p.off); err != nil {
-					abort()
-					return false
-				}
-				lastAck = p.off
+			if err := s.writeVerdict(conn, bw, *seed.done); err != nil {
+				return abort(err)
 			}
+			return s.drainSession(conn, br, bw)
 		}
 	}
+
+	v, err := s.check(h, seed, src, func() { conn.Close() })
+	end := src.err == io.EOF
+	if err == nil && !end {
+		// The checker stopped early (rejection or undecodable input). Its
+		// verdict answers the client's next symbols or end frame, whose
+		// symbols are neither checked nor charged. Written now, it could
+		// block on a client that writes its whole session before reading,
+		// while that client blocks on a server no longer reading.
+		var typ byte
+		typ, _, err = src.frame()
+		end = typ == frameEnd
+	}
+	var misplaced frameTypeError
+	switch {
+	case errors.Is(err, errByteQuota):
+		// The tenant's byte bucket ran dry mid-stream: answer the frame
+		// that overdrew it with the typed quota verdict. The session's
+		// newest checkpoint (if any) survives, so the client can resume
+		// once the bucket refills.
+		s.event("quota_reject", "session", id, "tenant", h.Tenant, "kind", "bytes")
+		v = QuotaVerdict(fmt.Sprintf("tenant %q over byte rate (%d B/s)", h.Tenant, s.cfg.TenantBytesPerSec))
+	case errors.As(err, &misplaced):
+		abort(err)
+		releaseSlot()
+		s.sendVerdict(conn, bw, Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1, Msg: err.Error()})
+		return false
+	case err != nil:
+		return abort(err)
+	default:
+		s.resume.finish(h.Token, v, v.Symbol, v.Offset)
+	}
+	releaseSlot()
+	s.countTenantVerdict(h.Tenant, v)
+	s.event("verdict", "session", id, "tenant", h.Tenant, "code", v.Code.String(), "symbol", v.Symbol)
+	if err := s.sendVerdict(conn, bw, v); err != nil {
+		return abort(err)
+	}
+	if end {
+		return !s.isClosed()
+	}
+	// The verdict answered a symbols frame: absorb the rest of the
+	// session unchecked, so the connection stays usable.
+	return s.drainSession(conn, br, bw)
 }
 
 // rejectVerdict builds a reject verdict, lifting the constraint code and
@@ -981,19 +907,21 @@ func rejectVerdict(symbol int, offset int64, prefix string, err error) Verdict {
 	return v
 }
 
-// checkLoop is the session's dedicated checker goroutine: it decodes
-// symbols from the bounded pipe, steps a checker — fresh, or a clone of
-// the session's checkpoint when resuming — and delivers exactly one
-// verdict on resc. On token sessions it clones the checker every
-// AckInterval symbols into the resume store and publishes the position on
-// prog for the conn loop to ack. Witness mode is on so rejections carry
-// their constraint classification and cycle length back to the client.
-func (s *Server) checkLoop(h Header, seed *resumeSeed, pipe *bpipe, resc chan<- Verdict, prog *atomic.Pointer[ackPos], kick func()) {
+// check decodes the session's symbols straight off src and steps a
+// checker over them — fresh, or a clone of the session's checkpoint when
+// resuming — until the end frame, a rejection or undecodable input, and
+// returns that verdict. On token sessions it clones the checker every
+// AckInterval symbols into the resume store, for src to ack after the
+// client's next frame. Witness mode is on so rejections carry their
+// constraint classification and cycle length back to the client. A
+// non-nil error is src's: the session stopped before the checker reached
+// a verdict.
+func (s *Server) check(h Header, seed *resumeSeed, src *frameSource, kick func()) (Verdict, error) {
 	var chk *checker.Checker
 	var dec *descriptor.Decoder
 	if seed != nil {
 		chk = seed.chk
-		dec = descriptor.NewDecoderAt(pipe, seed.off, seed.sym)
+		dec = descriptor.NewDecoderAt(src, seed.off, seed.sym)
 	} else {
 		chk = checker.New(h.K).EnableWitness()
 		if h.Params.Procs > 0 {
@@ -1002,7 +930,7 @@ func (s *Server) checkLoop(h Header, seed *resumeSeed, pipe *bpipe, resc chan<- 
 		if h.NoValues {
 			chk.DisableValueCheck()
 		}
-		dec = descriptor.NewDecoder(pipe)
+		dec = descriptor.NewDecoder(src)
 	}
 	// Tier adjudication needs the decoded stream up to the rejection.
 	// Resumed sessions lack the checkpointed prefix and NoValues sessions
@@ -1038,24 +966,18 @@ func (s *Server) checkLoop(h Header, seed *resumeSeed, pipe *bpipe, resc chan<- 
 		sym, err := dec.Next()
 		if err == io.EOF {
 			if ferr := chk.Finish(); ferr != nil {
-				resc <- attachTier(rejectVerdict(dec.Count(), dec.Offset(), "end of stream: ", ferr))
-			} else {
-				resc <- Verdict{Code: VerdictAccept, Symbol: -1, Offset: -1,
-					Msg: fmt.Sprintf("%d symbols describe an acyclic constraint graph", dec.Count())}
+				return attachTier(rejectVerdict(dec.Count(), dec.Offset(), "end of stream: ", ferr)), nil
 			}
-			return
+			return Verdict{Code: VerdictAccept, Symbol: -1, Offset: -1,
+				Msg: fmt.Sprintf("%d symbols describe an acyclic constraint graph", dec.Count())}, nil
 		}
 		if err != nil {
 			var de *descriptor.DecodeError
 			if errors.As(err, &de) {
-				resc <- Verdict{Code: VerdictProtocolError, Symbol: de.Symbol, Offset: de.Offset,
-					Msg: "decode: " + de.Msg}
-			} else {
-				// Transport-level abort; the conn loop discards this.
-				resc <- Verdict{Code: VerdictProtocolError, Symbol: -1, Offset: -1, Msg: err.Error()}
+				return Verdict{Code: VerdictProtocolError, Symbol: de.Symbol, Offset: de.Offset,
+					Msg: "decode: " + de.Msg}, nil
 			}
-			pipe.CloseRead(errSessionOver)
-			return
+			return Verdict{}, err
 		}
 		s.symbolsTotal.Add(1)
 		if collect {
@@ -1066,15 +988,133 @@ func (s *Server) checkLoop(h Header, seed *resumeSeed, pipe *bpipe, resc chan<- 
 			}
 		}
 		if serr := chk.Step(sym); serr != nil {
-			resc <- attachTier(rejectVerdict(dec.Count()-1, off, "", serr))
-			pipe.CloseRead(errSessionOver)
-			return
+			return attachTier(rejectVerdict(dec.Count()-1, off, "", serr)), nil
 		}
 		if h.Token != "" && dec.Count() >= nextCkpt {
 			nextCkpt = dec.Count() + s.cfg.AckInterval
 			if s.resume.put(h.Token, h, chk.Clone(), dec.Count(), dec.Offset(), kick) {
-				prog.Store(&ackPos{sym: dec.Count(), off: dec.Offset()})
+				src.ckptSym, src.ckptOff = dec.Count(), dec.Offset()
 			}
 		}
 	}
+}
+
+// errByteQuota stops a session whose symbols frame overdrew its tenant's
+// byte bucket.
+var errByteQuota = errors.New("scserve: tenant byte quota exhausted")
+
+// frameTypeError is a frame that has no place inside a session.
+type frameTypeError byte
+
+func (e frameTypeError) Error() string {
+	return fmt.Sprintf("unexpected frame type %#x inside session", byte(e))
+}
+
+// frameSource is the byte stream a session's decoder reads: the
+// concatenated payloads of the session's symbols frames, one frame at a
+// time. The next frame is read only once the current payload is decoded
+// and checked, so TCP flow control is the session's backpressure and its
+// memory is one frame beyond the checker's. Every server write inside a
+// session follows the read of a client frame: stats replies and
+// checkpoint acks here, the verdict in runSession.
+type frameSource struct {
+	s      *Server
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	tenant string
+
+	buf []byte // unread rest of the current symbols payload
+	// err is sticky once set: io.EOF for the end frame, errByteQuota, a
+	// frameTypeError, or a wrapped transport error. Only the end frame
+	// may be io.EOF, because the decoder takes io.EOF (and
+	// io.ErrUnexpectedEOF) from its reader for the end of the stream.
+	err error
+
+	ckptSym int   // newest checkpoint stored in the resume store
+	ckptOff int64 // its byte offset; 0 before any
+	acked   int64 // byte offset of the newest checkpoint acked
+}
+
+// ReadByte implements io.ByteReader, the only method the decoder calls.
+func (f *frameSource) ReadByte() (byte, error) {
+	if len(f.buf) == 0 {
+		if err := f.fill(); err != nil {
+			return 0, err
+		}
+	}
+	b := f.buf[0]
+	f.buf = f.buf[1:]
+	return b, nil
+}
+
+// Read makes a frameSource the io.Reader descriptor.NewDecoder takes.
+func (f *frameSource) Read(p []byte) (int, error) {
+	if len(f.buf) == 0 {
+		if err := f.fill(); err != nil {
+			return 0, err
+		}
+	}
+	n := copy(p, f.buf)
+	f.buf = f.buf[n:]
+	return n, nil
+}
+
+// fill reads frames until a symbols payload has bytes or the stream
+// stops, charging each payload to the tenant and acking the newest
+// checkpoint after it.
+func (f *frameSource) fill() error {
+	for len(f.buf) == 0 && f.err == nil {
+		typ, payload, err := f.frame()
+		switch {
+		case err != nil:
+			f.err = err
+		case typ == frameEnd:
+			f.err = io.EOF
+		case !f.s.chargeTenant(f.tenant, len(payload)):
+			f.err = errByteQuota
+		default:
+			if f.err = f.ack(); f.err == nil {
+				f.buf = payload
+			}
+		}
+	}
+	return f.err
+}
+
+// frame reads the client's next symbols or end frame, answering stats
+// requests (each followed by any pending ack) on the way.
+func (f *frameSource) frame() (byte, []byte, error) {
+	for {
+		typ, payload, err := f.s.readFrame(f.conn, f.br)
+		if err != nil {
+			// Wrapped: a hang-up at a symbol boundary is not an end frame.
+			return 0, nil, fmt.Errorf("read: %w", err)
+		}
+		switch typ {
+		case frameSymbols, frameEnd:
+			return typ, payload, nil
+		case frameStatsReq:
+			if err := f.s.sendStats(f.conn, f.bw); err != nil {
+				return 0, nil, fmt.Errorf("stats: %w", err)
+			}
+			if err := f.ack(); err != nil {
+				return 0, nil, err
+			}
+		default:
+			return 0, nil, frameTypeError(typ)
+		}
+	}
+}
+
+// ack acks the newest stored checkpoint unless it already was.
+func (f *frameSource) ack() error {
+	if f.ckptOff <= f.acked {
+		return nil
+	}
+	if err := f.s.sendAck(f.conn, f.bw, f.ckptSym, f.ckptOff); err != nil {
+		return fmt.Errorf("ack: %w", err)
+	}
+	f.acked = f.ckptOff
+	return nil
 }
