@@ -87,6 +87,7 @@ fuzz-burst:
 	$(GO) test -run='^$$' -fuzz=FuzzRetryClient -fuzztime=$(FUZZTIME) ./internal/scserve
 	$(GO) test -run='^$$' -fuzz=FuzzTierVerdictFrame -fuzztime=$(FUZZTIME) ./internal/scserve
 	$(GO) test -run='^$$' -fuzz=FuzzExploreFrame -fuzztime=$(FUZZTIME) ./internal/scserve
+	$(GO) test -run='^$$' -fuzz=FuzzGridSession -fuzztime=$(FUZZTIME) ./internal/scgrid
 	$(GO) test -run='^$$' -fuzz=FuzzMinimizer -fuzztime=$(FUZZTIME) ./internal/witness
 	$(GO) test -run='^$$' -fuzz=FuzzHistoryJSONL -fuzztime=$(FUZZTIME) ./internal/history
 	$(GO) test -run='^$$' -fuzz=FuzzJSONLMatchesOracle -fuzztime=$(FUZZTIME) ./internal/history

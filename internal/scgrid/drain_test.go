@@ -170,17 +170,13 @@ func TestGridStickyResumeOnDrainingBackend(t *testing.T) {
 	// Make sure a checkpoint exists before the blip: poll until the
 	// server's ack moves the replay base.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.base == 0 {
+	for s.r.Acked() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no ack after half the stream — cannot exercise sticky resume")
 		}
-		if err := s.sess.Flush(); err != nil {
+		if err := s.r.Poll(); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.sess.Poll(); err != nil {
-			t.Fatal(err)
-		}
-		s.updateAcked()
 	}
 	home := s.Backend()
 	var hometb *testBackend

@@ -36,7 +36,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"time"
 
@@ -105,19 +104,7 @@ func (g *Grid) Session(h scserve.Header) (*Session, error) {
 	if h.Resume {
 		return nil, errors.New("scgrid: the grid manages resumption itself; do not set Header.Resume")
 	}
-	seed := g.cfg.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	} else {
-		// Derive a per-session stream so concurrent sessions under a
-		// fixed grid seed don't share one locked rng.
-		seed += g.pool.sheds.Load() + int64(len(h.Token))*7919
-	}
-	return &Session{
-		g:   g,
-		hdr: h,
-		rng: rand.New(rand.NewSource(seed)),
-	}, nil
+	return &Session{g: g, hdr: h, r: scserve.NewReplay(g.cfg.MaxBuffer, g.cfg.PollEvery, false)}, nil
 }
 
 // Check is the one-shot convenience: it opens a session with h, streams
@@ -145,25 +132,14 @@ func (g *Grid) Check(h scserve.Header, stream descriptor.Stream) (scserve.Verdic
 type Session struct {
 	g   *Grid
 	hdr scserve.Header
-	rng *rand.Rand
+	r   *scserve.Replay // keeps the whole stream: failover replays from byte zero
 
-	buf   []byte // the whole stream: failover needs replay from byte zero
-	total int64
-
-	b       *backend // backend currently holding this session's slot
-	cli     *scserve.Client
-	sess    *scserve.Session
-	base    int64 // acked offset on the current backend (replay starts here)
-	baseSym int
-	sent    int64 // absolute offset streamed on the current connection
-	unpoll  int
-	landed  bool // a session reached some backend at least once
-	done    bool
-	shed    *scserve.Verdict // set when admission shed this session
+	b      *backend        // backend currently holding this session's slot
+	cli    *scserve.Client // connection carrying the open session, nil between sessions
+	landed bool            // a session reached some backend at least once
+	done   bool
+	shed   *scserve.Verdict // set when admission shed this session
 }
-
-// Bytes returns the total stream bytes accepted so far.
-func (s *Session) Bytes() int64 { return s.total }
 
 // Backend returns the address of the backend currently serving the
 // session ("" before the first dispatch).
@@ -187,7 +163,7 @@ func (s *Session) dropConn() {
 		s.cli.Close()
 		s.cli = nil
 	}
-	s.sess = nil
+	s.r.Drop()
 }
 
 func (s *Session) releaseSlot() {
@@ -203,16 +179,11 @@ func (s *Session) backoff(attempt int) {
 	if d <= 0 || d > s.g.cfg.MaxDelay {
 		d = s.g.cfg.MaxDelay
 	}
-	d = d/2 + time.Duration(s.rng.Int63n(int64(d/2)+1))
-	time.Sleep(d)
+	time.Sleep(s.g.pool.jitter(d))
 }
 
-// errResumeMiss: the pinned backend restarted and lost the checkpoint;
-// retry fresh on the same backend.
-var errResumeMiss = errors.New("scgrid: resume checkpoint gone; restarting fresh")
-
 // ensure establishes a connection to the right backend with an open
-// session positioned at s.sent. It owns placement:
+// session on it. It owns placement:
 //
 //   - tokened sessions target their rendezvous backend — the same one
 //     after a blip (resume), a different live one after a death
@@ -223,13 +194,12 @@ var errResumeMiss = errors.New("scgrid: resume checkpoint gone; restarting fresh
 // backend keeps the held slot, moving releases it and re-admits on the
 // new backend (which may queue and shed).
 func (s *Session) ensure() error {
-	if s.sess != nil {
+	if s.cli != nil {
 		return nil
 	}
-	// Placement: where should this session run now?
 	var want *backend
 	if s.hdr.Token != "" {
-		if s.base > 0 && s.b != nil && s.b.isHealthy() {
+		if s.r.Acked() > 0 && s.b != nil && s.b.isHealthy() {
 			// Sticky resume: our checkpoint lives on this backend and it is
 			// still answering — stay, even if it started draining. Draining
 			// backends keep serving resumes precisely so in-flight sessions
@@ -237,36 +207,25 @@ func (s *Session) ensure() error {
 			want = s.b
 		} else {
 			want = s.g.pool.pinned(s.hdr.Token)
-			if want == nil {
-				// Nothing healthy: wait in the admission queue for a
-				// re-admission rather than spinning the retry budget.
-				s.releaseSlot()
-			}
 		}
-	} else {
+	} else if s.b != nil && s.b.isHealthy() {
 		want = s.b // one-shot: keep the slot unless the backend died
-		if want != nil && !want.isHealthy() {
-			want = nil
-		}
 	}
 	if want == nil || want != s.b {
+		// An empty healthy set waits in the admission queue for a
+		// re-admission rather than spinning the retry budget.
 		s.releaseSlot()
 		b, err := s.g.pool.acquire(s.hdr.Token, s.g.cfg.QueueWait)
 		if err != nil {
 			return err
 		}
-		if s.hdr.Token != "" && want != nil && b != want {
-			// The healthy set shifted between pinned() and acquire();
-			// trust acquire's answer, it re-ran the hash.
-			want = b
-		}
 		s.b = b
 		if s.landed {
 			s.b.failovers.Add(1)
-			s.g.pool.logf("scgrid: session %.8s… failing over to %s (replay %d bytes)", s.hdr.Token, b.addr, s.total)
+			s.g.pool.logf("scgrid: session %.8s… failing over to %s (replay from byte zero)", s.hdr.Token, b.addr)
 		}
 		// A new backend has none of our bytes: fresh start, full replay.
-		s.base, s.baseSym = 0, 0
+		s.r.Restart()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), s.g.cfg.Timeout)
@@ -280,96 +239,18 @@ func (s *Session) ensure() error {
 		return err
 	}
 	s.cli = scserve.NewClient(conn, s.g.cfg.Timeout)
-
-	h := s.hdr
-	if s.base > 0 {
-		h.Resume = true
-		h.AckSymbol, h.AckOffset = s.baseSym, s.base
-	}
-	sess, err := s.cli.Session(h)
+	resumed, err := s.r.Open(s.cli, s.hdr)
 	if err != nil {
 		s.dropConn()
 		return err
 	}
-	s.sess = sess
 	s.b.sessions.Add(1)
 	s.landed = true
-	if h.Resume {
-		if v, ok := sess.Early(); ok {
-			if v.ResumeMiss() {
-				// The backend restarted (or evicted the checkpoint): the
-				// token is gone but we hold the full stream. Restart
-				// fresh on the same backend.
-				s.dropConn()
-				s.base, s.baseSym = 0, 0
-				return errResumeMiss
-			}
-			// Any other early verdict (typically the replayed verdict of
-			// an already-finished session) is delivered by Finish.
-			s.sent = s.total
-			return nil
-		}
-		_, off := sess.Acked()
-		if off < 0 || off > s.total {
-			s.dropConn()
-			s.base, s.baseSym = 0, 0
-			return fmt.Errorf("scgrid: resume ack at offset %d outside stream of %d bytes", off, s.total)
-		}
+	if resumed {
 		s.b.resumes.Add(1)
-		s.updateAcked()
-	}
-	s.sent = s.base
-	return nil
-}
-
-// updateAcked folds the server's latest ack into the session's replay
-// base. The buffer is never trimmed — failover needs byte zero — but the
-// base decides where a resume on the same backend restarts.
-func (s *Session) updateAcked() {
-	sym, off := s.sess.Acked()
-	if off > s.base && off <= s.total {
-		s.base, s.baseSym = off, sym
-	}
-}
-
-// push streams the buffer's unsent tail on the current connection,
-// polling for acks (and an early verdict) at the configured cadence.
-func (s *Session) push() error {
-	chunk := s.g.cfg.PollEvery
-	for s.sent < s.total {
-		if _, ok := s.sess.Early(); ok {
-			// Early verdict: the server is draining. Stop streaming;
-			// Finish delivers it.
-			s.sent = s.total
-			return nil
-		}
-		tail := s.buf[s.sent:]
-		n := len(tail)
-		if n > chunk {
-			n = chunk
-		}
-		if err := s.sess.SendBytes(tail[:n]); err != nil {
-			return err
-		}
-		s.sent += int64(n)
-		s.unpoll += n
-		if s.unpoll >= s.g.cfg.PollEvery {
-			s.unpoll = 0
-			if err := s.sess.Flush(); err != nil {
-				return err
-			}
-			if err := s.sess.Poll(); err != nil {
-				return err
-			}
-			s.updateAcked()
-		}
 	}
 	return nil
 }
-
-// fail drops the connection after a transport error. The slot is kept:
-// placement on the next ensure decides whether it moves.
-func (s *Session) fail() { s.dropConn() }
 
 // shedVerdict finalizes a shed session with the busy verdict.
 func (s *Session) shedVerdict(err error) scserve.Verdict {
@@ -382,45 +263,21 @@ func (s *Session) shedVerdict(err error) scserve.Verdict {
 // SendBytes appends raw descriptor wire bytes to the logical stream and
 // streams them (with any unsent tail) through the current backend,
 // retrying, resuming, and failing over as needed. The bytes need not
-// align with symbol boundaries.
+// align with symbol boundaries. Once the session has a verdict that is
+// not busy (an early rejection, or an admission shed), the bytes are
+// dropped and SendBytes returns nil; Finish returns that verdict.
 func (s *Session) SendBytes(raw []byte) error {
 	if s.done {
 		return errors.New("scgrid: send after Finish")
 	}
 	if s.shed != nil {
-		return nil // verdict already decided; Finish reports it
-	}
-	if len(s.buf)+len(raw) > s.g.cfg.MaxBuffer {
-		return fmt.Errorf("scgrid: stream exceeds replay buffer limit %d (grid sessions buffer the whole stream for failover)", s.g.cfg.MaxBuffer)
-	}
-	s.buf = append(s.buf, raw...)
-	s.total += int64(len(raw))
-
-	var lastErr error
-	for attempt := 0; attempt < s.g.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			s.backoff(attempt - 1)
-		}
-		if err := s.ensure(); err != nil {
-			if errors.Is(err, errShed) {
-				s.shedVerdict(err)
-				return nil
-			}
-			if errors.Is(err, errResumeMiss) {
-				attempt-- // a miss answer is progress, not a failed attempt
-			}
-			lastErr = err
-			continue
-		}
-		if err := s.push(); err != nil {
-			lastErr = err
-			s.fail()
-			continue
-		}
 		return nil
 	}
-	s.releaseSlot()
-	return fmt.Errorf("scgrid: send failed after %d attempts: %w", s.g.cfg.MaxAttempts, lastErr)
+	if err := s.r.Append(raw); err != nil {
+		return err
+	}
+	_, err := s.run(false)
+	return err
 }
 
 // Send encodes and streams the given symbols.
@@ -441,12 +298,19 @@ func (s *Session) Finish() (scserve.Verdict, error) {
 	if s.done {
 		return scserve.Verdict{}, errors.New("scgrid: session already finished")
 	}
+	s.done = true
 	if s.shed != nil {
-		s.done = true
 		return *s.shed, nil
 	}
+	return s.run(true)
+}
+
+// run is the attempt loop behind SendBytes and Finish: it places and
+// opens the session, streams the buffered tail and, with finish,
+// concludes it. A busy verdict, which ends the session mid-stream as well
+// as at Finish, backs off and restarts it from the acked offset.
+func (s *Session) run(finish bool) (scserve.Verdict, error) {
 	var lastErr error
-	redirects := 0
 	skipBackoff := false
 	for attempt := 0; attempt < s.g.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 && !skipBackoff {
@@ -455,74 +319,67 @@ func (s *Session) Finish() (scserve.Verdict, error) {
 		skipBackoff = false
 		if err := s.ensure(); err != nil {
 			if errors.Is(err, errShed) {
-				s.done = true
 				return s.shedVerdict(err), nil
 			}
-			if errors.Is(err, errResumeMiss) {
-				attempt--
+			if errors.Is(err, scserve.ErrResumeMiss) {
+				attempt-- // a miss answer is progress, not a failed attempt
 			}
 			lastErr = err
 			continue
 		}
-		if err := s.push(); err != nil {
-			lastErr = err
-			s.fail()
-			continue
-		}
-		v, err := s.sess.Finish()
-		s.sess = nil
+		v, ended, err := s.r.Push(finish)
 		if err != nil {
 			lastErr = err
-			s.fail()
+			s.dropConn() // the slot is kept: placement on the next ensure decides
 			continue
 		}
-		if v.Busy() {
-			lastErr = v.Err()
-			s.dropConn()
-			if v.Draining() {
-				// The backend is draining, not overloaded: mark it so
-				// placement avoids it, give the slot back, and redirect
-				// immediately — a drain is an explicit "go elsewhere", so
-				// it costs neither a retry attempt nor a backoff sleep.
-				s.g.pool.setDraining(s.b, true)
-				if redirects < maxDrainRedirects {
-					redirects++
-					s.g.pool.drainRedirects.Add(1)
-					s.releaseSlot()
-					s.sent = s.base
-					attempt--
-					skipBackoff = true
-					continue
-				}
-			}
-			// The backend itself is at capacity: back off and restart.
-			// One-shot sessions give their slot back so the retry can
-			// re-place least-loaded; tokened ones stay with their
-			// rendezvous backend.
-			if s.hdr.Token == "" {
-				s.releaseSlot()
-			}
-			s.sent = s.base
-			continue
+		if !ended {
+			return scserve.Verdict{}, nil
 		}
-		switch v.Code {
-		case scserve.VerdictAccept:
-			s.b.accepts.Add(1)
-		case scserve.VerdictReject:
-			s.b.rejects.Add(1)
-		}
-		s.done = true
 		s.dropConn()
-		s.releaseSlot()
-		return v, nil
+		if !v.Busy() {
+			switch v.Code {
+			case scserve.VerdictAccept:
+				s.b.accepts.Add(1)
+			case scserve.VerdictReject:
+				s.b.rejects.Add(1)
+			}
+			s.releaseSlot()
+			return v, nil
+		}
+		lastErr = v.Err()
+		if v.Draining() {
+			// The backend is draining, not overloaded: mark it so
+			// placement avoids it, give the slot back, and redirect
+			// immediately — a drain is an explicit "go elsewhere", so
+			// it costs neither a retry attempt nor a backoff sleep.
+			s.g.pool.setDraining(s.b, true)
+			if s.r.Redirect() {
+				s.g.pool.drainRedirects.Add(1)
+				s.releaseSlot()
+				attempt--
+				skipBackoff = true
+				continue
+			}
+		}
+		// The backend itself is at capacity: back off and restart.
+		// One-shot sessions give their slot back so the retry can
+		// re-place least-loaded; tokened ones stay with their
+		// rendezvous backend.
+		if s.hdr.Token == "" {
+			s.releaseSlot()
+		}
 	}
-	s.done = true
 	if s.b != nil {
 		s.b.errors.Add(1)
 	}
 	s.dropConn()
 	s.releaseSlot()
-	return scserve.Verdict{}, fmt.Errorf("scgrid: session failed after %d attempts: %w", s.g.cfg.MaxAttempts, lastErr)
+	op := "send"
+	if finish {
+		op = "session"
+	}
+	return scserve.Verdict{}, fmt.Errorf("scgrid: %s failed after %d attempts: %w", op, s.g.cfg.MaxAttempts, lastErr)
 }
 
 // Dialer adapts a faultnet-style DialContext (network first) to

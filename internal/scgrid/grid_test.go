@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"scverify/internal/descriptor"
 	"scverify/internal/faultnet"
 	"scverify/internal/scserve"
 )
@@ -551,4 +553,102 @@ func TestGridSmokeKillBackend(t *testing.T) {
 		t.Fatalf("only %d/%d sessions delivered verdicts", delivered, sessions)
 	}
 	t.Logf("smoke: %d delivered, %d sheds, healthy=%d", delivered, st.Sheds, st.Healthy)
+}
+
+// TestGridEarlyVerdictStopsBuffering is the grid twin of the scserve
+// test: a grid session keeps its whole stream, so without the rule that a
+// verdict in hand stops the buffering, any tail past the replay cap would
+// turn an early rejection into an error.
+func TestGridEarlyVerdictStopsBuffering(t *testing.T) {
+	for _, tokened := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tokened=%v", tokened), func(t *testing.T) {
+			tb := startBackend(t, scserve.Config{AckInterval: 8})
+			g := newTestGrid(t, Config{MaxBuffer: 8 << 10, PollEvery: 256}, tb)
+			h := scserve.SyntheticHeader()
+			if tokened {
+				h.Token = scserve.NewToken()
+			}
+			s, err := g.Session(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+
+			stream, rejIdx := scserve.SyntheticReject(40)
+			wire := append(descriptor.Marshal(stream), descriptor.Marshal(scserve.SyntheticAccept(20000))...)
+			for off := 0; off < len(wire); off += 512 {
+				if err := s.SendBytes(wire[off:min(off+512, len(wire))]); err != nil {
+					t.Fatalf("send after an early rejection: %v", err)
+				}
+			}
+			v, err := s.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := int64(len(descriptor.Marshal(stream[:rejIdx])))
+			if v.Code != scserve.VerdictReject || v.Symbol != rejIdx || v.Offset != off {
+				t.Fatalf("verdict %s, want reject at symbol %d byte %d", v, rejIdx, off)
+			}
+		})
+	}
+}
+
+// FuzzGridSession drives grid sessions, one-shot or tokened, through a
+// fault link that cuts the first connections at a fuzzed byte count and
+// then goes clean. Whatever the cut points, the delivered verdict must be
+// exactly correct and no error may surface: faults cost retries only.
+func FuzzGridSession(f *testing.F) {
+	srv := scserve.New(scserve.Config{ReadTimeout: 5 * time.Second, AckInterval: 32})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	go srv.Serve(ln)
+	f.Cleanup(func() { ln.Close() })
+	addr := ln.Addr().String()
+
+	f.Add(int64(1), uint16(40), uint8(30), uint8(1), false)
+	f.Add(int64(42), uint16(2000), uint8(200), uint8(2), true)
+	f.Add(int64(7), uint16(0), uint8(3), uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed int64, resetAfter uint16, size, faulty uint8, tokened bool) {
+		stream, rejIdx := scserve.SyntheticReject(int(size)%200 + 2)
+		nFaulty := int64(faulty % 3)
+		var dials atomic.Int64
+		dial := func(ctx context.Context, addr string) (net.Conn, error) {
+			var d net.Dialer
+			conn, err := d.DialContext(ctx, "tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			if dials.Add(1) <= nFaulty {
+				return faultnet.Wrap(conn, faultnet.Config{
+					Seed:            seed,
+					WriteChunk:      7,
+					ResetAfterBytes: int64(resetAfter) + 1,
+				}, nil), nil
+			}
+			return conn, nil
+		}
+		g, err := New([]string{addr}, Config{
+			ProbeInterval: -1, Seed: seed, Timeout: 5 * time.Second, BaseDelay: time.Millisecond,
+			MaxAttempts: 8, PollEvery: 1 << 10, Dial: dial,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		h := scserve.SyntheticHeader()
+		if tokened {
+			h.Token = scserve.NewToken()
+		}
+		v, err := g.Check(h, stream)
+		if err != nil {
+			t.Fatalf("faults must degrade to retries, not errors (seed=%d reset=%d faulty=%d tokened=%v): %v",
+				seed, resetAfter, nFaulty, tokened, err)
+		}
+		off := int64(len(descriptor.Marshal(stream[:rejIdx])))
+		if v.Code != scserve.VerdictReject || v.Symbol != rejIdx || v.Offset != off {
+			t.Fatalf("wrong verdict through faults: %s, want reject at symbol %d byte %d", v, rejIdx, off)
+		}
+	})
 }

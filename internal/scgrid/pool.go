@@ -122,12 +122,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// maxDrainRedirects bounds how many consecutive draining verdicts a
-// session follows without spending a retry attempt: every healthy backend
-// draining at once (a stuck full-fleet drain) must degrade to the normal
-// busy backoff, not an unmetered hot loop.
-const maxDrainRedirects = 4
-
 // errShed is the admission layer giving up on a slot within the queue
 // deadline; it surfaces to callers as the busy verdict.
 var errShed = errors.New("scgrid: session shed by admission control")

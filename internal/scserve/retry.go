@@ -170,182 +170,37 @@ func (rc *RetryClient) Session(h Header) (*RetrySession, error) {
 	if h.Token == "" {
 		h.Token = NewToken()
 	}
-	return &RetrySession{rc: rc, hdr: h}, nil
+	return &RetrySession{rc: rc, hdr: h, r: NewReplay(rc.cfg.MaxBuffer, rc.cfg.PollEvery, true)}, nil
 }
 
 // RetrySession is one logical checking session that survives connection
-// loss. It buffers the unacked tail of the stream and replays it into the
-// server's checkpoint after a reconnect.
+// loss. Its Replay buffers the unacked tail of the stream and replays it
+// into the server's checkpoint after a reconnect.
 type RetrySession struct {
-	rc  *RetryClient
-	hdr Header
-
-	buf     []byte // unacked stream tail; buf[0] is at absolute offset base
-	base    int64  // byte offset of buf[0] = highest acked offset
-	baseSym int    // symbol index at base
-	total   int64  // total stream bytes accepted from the caller
-
-	sess   *Session // nil between connections
-	sent   int64    // absolute offset streamed on the current connection
-	unpoll int      // bytes sent since the last ack poll
-	done   bool
+	rc   *RetryClient
+	hdr  Header
+	r    *Replay
+	done bool
 }
-
-// Bytes returns the total stream bytes accepted so far.
-func (s *RetrySession) Bytes() int64 { return s.total }
 
 // Acked returns the highest server-acked byte offset: bytes before it
 // have been dropped from the replay buffer.
-func (s *RetrySession) Acked() int64 { return s.base }
-
-// Buffered returns the current replay-buffer size in bytes.
-func (s *RetrySession) Buffered() int { return len(s.buf) }
-
-// trim drops acked bytes from the replay buffer.
-func (s *RetrySession) trim() {
-	if s.sess == nil {
-		return
-	}
-	sym, off := s.sess.Acked()
-	if off > s.base && off <= s.base+int64(len(s.buf)) {
-		s.buf = s.buf[off-s.base:]
-		s.base, s.baseSym = off, sym
-	}
-}
-
-// ensure establishes a connection with an open session positioned at
-// s.sent. A fresh session (nothing acked yet) re-opens with a fresh
-// hello; otherwise it resumes from the server's checkpoint, which names
-// the offset to replay from.
-func (s *RetrySession) ensure() error {
-	if s.sess != nil {
-		return nil
-	}
-	if err := s.rc.connect(); err != nil {
-		return err
-	}
-	h := s.hdr
-	if s.base > 0 {
-		h.Resume = true
-		h.AckSymbol, h.AckOffset = s.baseSym, s.base
-	}
-	sess, err := s.rc.c.Session(h)
-	if err != nil {
-		s.rc.dropConn()
-		return err
-	}
-	s.sess = sess
-	if h.Resume {
-		if sess.early != nil {
-			// The server answered the resume with a verdict: either the
-			// session already completed (replayed verdict — deliver it)
-			// or the token is gone (clean error; Finish surfaces it).
-			s.sent = s.total
-			return nil
-		}
-		_, off := sess.Acked()
-		if off < s.base || off > s.base+int64(len(s.buf)) {
-			// The server's checkpoint is outside what we can replay;
-			// treat it as a failed attempt.
-			s.rc.dropConn()
-			s.sess = nil
-			return fmt.Errorf("scserve: resume ack at offset %d outside buffered range [%d, %d]",
-				off, s.base, s.base+int64(len(s.buf)))
-		}
-		s.trim()
-	}
-	s.sent = s.base
-	return nil
-}
-
-// push streams the replay buffer's unsent tail on the current
-// connection, polling for acks as it goes. Chunks are capped at the poll
-// cadence so acks are observed (and the buffer trimmed) while streaming,
-// not just at the end.
-func (s *RetrySession) push() error {
-	chunk := maxChunk
-	if s.rc.cfg.PollEvery < chunk {
-		chunk = s.rc.cfg.PollEvery
-	}
-	for s.sent < s.base+int64(len(s.buf)) {
-		if s.sess.early != nil {
-			// Early verdict (rejection or busy): the server is draining.
-			// Stop streaming; Finish delivers the verdict.
-			s.sent = s.total
-			return nil
-		}
-		tail := s.buf[s.sent-s.base:]
-		n := len(tail)
-		if n > chunk {
-			n = chunk
-		}
-		if err := s.sess.SendBytes(tail[:n]); err != nil {
-			return err
-		}
-		s.sent += int64(n)
-		s.unpoll += n
-		if s.unpoll >= s.rc.cfg.PollEvery {
-			s.unpoll = 0
-			if err := s.sess.Flush(); err != nil {
-				return err
-			}
-			if err := s.sess.Poll(); err != nil {
-				return err
-			}
-			s.trim()
-		}
-	}
-	return nil
-}
-
-// fail records a transport error on the current connection and decides
-// whether another attempt may proceed.
-func (s *RetrySession) fail() {
-	s.rc.dropConn()
-	s.sess = nil
-}
+func (s *RetrySession) Acked() int64 { return s.r.Acked() }
 
 // SendBytes appends raw descriptor wire bytes to the logical stream,
 // streaming them (and any unsent replay tail) with retries. The bytes
-// need not align with symbol boundaries.
+// need not align with symbol boundaries. Once the server has delivered a
+// verdict that is not busy (an early rejection, say), the bytes are
+// dropped and SendBytes returns nil; Finish returns that verdict.
 func (s *RetrySession) SendBytes(raw []byte) error {
 	if s.done {
 		return fmt.Errorf("scserve: send after Finish")
 	}
-	if len(s.buf)+len(raw) > s.rc.cfg.MaxBuffer {
-		// One flush+poll may reveal acks that shrink the buffer before we
-		// declare the session over budget.
-		if s.sess != nil {
-			if err := s.sess.Flush(); err == nil {
-				if err := s.sess.Poll(); err == nil {
-					s.trim()
-				}
-			}
-		}
-		if len(s.buf)+len(raw) > s.rc.cfg.MaxBuffer {
-			return fmt.Errorf("scserve: unacked stream tail exceeds replay buffer limit %d", s.rc.cfg.MaxBuffer)
-		}
+	if err := s.r.Append(raw); err != nil {
+		return err
 	}
-	s.buf = append(s.buf, raw...)
-	s.total += int64(len(raw))
-
-	var lastErr error
-	for attempt := 0; attempt < s.rc.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			s.rc.backoff(attempt - 1)
-		}
-		if err := s.ensure(); err != nil {
-			lastErr = err
-			continue
-		}
-		if err := s.push(); err != nil {
-			lastErr = err
-			s.fail()
-			continue
-		}
-		return nil
-	}
-	return fmt.Errorf("scserve: send failed after %d attempts: %w", s.rc.cfg.MaxAttempts, lastErr)
+	_, err := s.run(false)
+	return err
 }
 
 // Send encodes and streams the given symbols.
@@ -356,12 +211,6 @@ func (s *RetrySession) Send(syms ...descriptor.Symbol) error {
 	}
 	return s.SendBytes(scratch)
 }
-
-// maxDrainRedirects bounds the free (no-backoff, no-attempt) redirects a
-// session takes on draining verdicts before degrading to the ordinary
-// busy backoff path — the escape hatch when every reachable backend is
-// draining at once.
-const maxDrainRedirects = 4
 
 // Finish concludes the logical session and returns the verdict, retrying
 // transport failures (resuming and replaying the unacked tail as needed)
@@ -375,55 +224,62 @@ func (s *RetrySession) Finish() (Verdict, error) {
 	if s.done {
 		return Verdict{}, fmt.Errorf("scserve: session already finished")
 	}
+	s.done = true
+	return s.run(true)
+}
+
+// run is the attempt loop behind SendBytes and Finish: it streams the
+// buffered tail and, with finish, concludes the session. A busy verdict,
+// which ends the session mid-stream as well as at Finish, backs off and
+// restarts the session from the acked offset on the same connection.
+func (s *RetrySession) run(finish bool) (Verdict, error) {
 	var lastErr error
-	redirects := 0
 	skipBackoff := false
 	for attempt := 0; attempt < s.rc.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 && !skipBackoff {
 			s.rc.backoff(attempt - 1)
 		}
 		skipBackoff = false
-		if err := s.ensure(); err != nil {
-			lastErr = err
-			continue
-		}
-		if err := s.push(); err != nil {
-			lastErr = err
-			s.fail()
-			continue
-		}
-		v, err := s.sess.Finish()
-		if err != nil {
-			lastErr = err
-			s.fail()
-			continue
-		}
-		if v.Busy() {
-			lastErr = v.Err()
-			s.sess = nil
-			s.sent = s.base
-			if v.Draining() && redirects < maxDrainRedirects {
-				// Redirect-not-failure: the backend is draining, not
-				// overloaded. Redial immediately (through a dispatcher the
-				// fresh connection is placed on an admitting backend) and
-				// give the attempt back.
-				redirects++
-				s.rc.dropConn()
-				attempt--
-				skipBackoff = true
+		if s.r.sess == nil {
+			if err := s.rc.connect(); err != nil {
+				lastErr = err
 				continue
 			}
-			// Clean capacity rejection: the session never ran. Back off
-			// and restart it (resuming if part of it was checkpointed
-			// before the connection was lost).
+			if _, err := s.r.Open(s.rc.c, s.hdr); err != nil {
+				lastErr = err
+				s.rc.dropConn()
+				continue
+			}
+		}
+		v, ended, err := s.r.Push(finish)
+		if err != nil {
+			lastErr = err
+			s.r.Drop()
+			s.rc.dropConn()
 			continue
 		}
-		s.done = true
-		s.sess = nil
-		return v, nil
+		if !ended {
+			return Verdict{}, nil
+		}
+		if !v.Busy() {
+			return v, nil
+		}
+		lastErr = v.Err()
+		if v.Draining() && s.r.Redirect() {
+			// Redirect-not-failure: the backend is draining, not
+			// overloaded. Redial immediately (through a dispatcher the
+			// fresh connection is placed on an admitting backend) and
+			// give the attempt back.
+			s.rc.dropConn()
+			attempt--
+			skipBackoff = true
+		}
 	}
-	s.done = true
-	return Verdict{}, fmt.Errorf("scserve: session failed after %d attempts: %w", s.rc.cfg.MaxAttempts, lastErr)
+	op := "send"
+	if finish {
+		op = "session"
+	}
+	return Verdict{}, fmt.Errorf("scserve: %s failed after %d attempts: %w", op, s.rc.cfg.MaxAttempts, lastErr)
 }
 
 // Check is the one-shot convenience: it opens a fault-tolerant session

@@ -222,3 +222,95 @@ func TestRetryBufferLimit(t *testing.T) {
 		t.Fatal("unacked tail exceeded MaxBuffer without an error")
 	}
 }
+
+// sendChunked streams wire through send in 512-byte calls.
+func sendChunked(wire []byte, send func([]byte) error) error {
+	for off := 0; off < len(wire); off += 512 {
+		if err := send(wire[off:min(off+512, len(wire))]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestEarlyVerdictStopsBuffering: once an early rejection is in hand the
+// stream is decided, so bytes the caller keeps sending are dropped rather
+// than buffered behind a session that no longer acks — a long tail after
+// the rejection must not turn the verdict into a replay-buffer error.
+func TestEarlyVerdictStopsBuffering(t *testing.T) {
+	_, addr := startServer(t, Config{AckInterval: 8})
+	rc := NewRetryClient(addr, RetryConfig{
+		Timeout: 5 * time.Second, BaseDelay: time.Millisecond, Seed: 1,
+		MaxBuffer: 8 << 10, PollEvery: 256,
+	})
+	defer rc.Close()
+	stream, rejectIdx := SyntheticReject(40)
+	wire := append(descriptor.Marshal(stream), descriptor.Marshal(SyntheticAccept(20000))...)
+
+	sess, err := rc.Session(SyntheticHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sendChunked(wire, sess.SendBytes); err != nil {
+		t.Fatalf("send after an early rejection: %v", err)
+	}
+	v, err := sess.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Code != VerdictReject || v.Symbol != rejectIdx || v.Offset != offsetOf(stream, rejectIdx) {
+		t.Fatalf("verdict %v, want reject at symbol %d byte %d", v, rejectIdx, offsetOf(stream, rejectIdx))
+	}
+}
+
+// TestRetryBusyWhileStreaming: a busy answer seen by a mid-stream poll
+// restarts the session as soon as the slot frees, instead of buffering
+// the rest of a stream longer than the replay buffer until Finish.
+func TestRetryBusyWhileStreaming(t *testing.T) {
+	srv, addr := startServer(t, Config{MaxSessions: 1, AckInterval: 8})
+
+	c1 := dialT(t, addr)
+	s1, err := c1.Session(SyntheticHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Send(SyntheticAccept(20)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitActive(t, srv, 1)
+	release := make(chan struct{})
+	go func() {
+		defer close(release)
+		time.Sleep(50 * time.Millisecond)
+		if v, err := s1.Finish(); err != nil || v.Code != VerdictAccept {
+			t.Errorf("occupier finish: %v, %v", v, err)
+		}
+	}()
+
+	rc := NewRetryClient(addr, RetryConfig{
+		Timeout: 5 * time.Second, BaseDelay: 5 * time.Millisecond, MaxAttempts: 10, Seed: 1,
+		MaxBuffer: 8 << 10, PollEvery: 256,
+	})
+	defer rc.Close()
+	sess, err := rc.Session(SyntheticHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sendChunked(descriptor.Marshal(SyntheticAccept(20000)), sess.SendBytes); err != nil {
+		t.Fatalf("send across a busy answer: %v", err)
+	}
+	v, err := sess.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Code != VerdictAccept {
+		t.Fatalf("verdict %v, want accept", v)
+	}
+	<-release
+	if got := srv.Stats().Busy; got < 1 {
+		t.Fatalf("busy counter = %d, want >= 1", got)
+	}
+}
