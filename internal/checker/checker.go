@@ -11,8 +11,6 @@
 package checker
 
 import (
-	"sort"
-
 	"scverify/internal/cycle"
 	"scverify/internal/descriptor"
 	"scverify/internal/trace"
@@ -21,8 +19,9 @@ import (
 // rec is the checker's per-node bookkeeping: the node's operation label,
 // the annotation bits of Theorem 3.1's proof (program-edge-in/out,
 // ST-edge-in/out, inheritance-edge-in), and the relations needed for
-// forced-edge obligations. Records persist past deactivation only while an
-// obligation references them.
+// forced-edge obligations. Records live in the checker's recs arena and
+// refer to each other by index (0 is none); a record stays there past
+// deactivation only while something still refers to it (see reclaim).
 type rec struct {
 	seq     int // creation order; only relative order is ever used
 	op      trace.Op
@@ -33,37 +32,51 @@ type rec struct {
 	stIn, stOut bool
 	inhIn       bool
 
-	inhFrom *rec // for loads: the store this load inherits from
-	stSucc  *rec // for stores: ST-order successor
-	poNext  *rec // program-order successor, for duplicate-edge detection
+	// refs counts the references other records, obligations, ⊥-load
+	// obligations and block orphans hold to this record.
+	refs int32
 
-	// forcedTo records stores of the load's own block this load has a
-	// forced edge to; consulted when the inherited-from store's ST-order
-	// successor becomes known.
-	forcedTo map[*rec]bool
+	inhFrom int32 // for loads: the store this load inherits from
+	stSucc  int32 // for stores: ST-order successor
+	poNext  int   // seq of the program-order successor while poOut, for duplicate-edge detection
 
-	// pending maps, for a store, each processor to its forced-edge
+	// forced lists (in links) the stores of the load's own block this load
+	// has a forced edge to; consulted when the inherited-from store's
+	// ST-order successor becomes known.
+	forced int32
+
+	// pending lists (in obligs), for a store, each processor's forced-edge
 	// obligation slot ("forced-edge-on-path-to" of the paper).
-	pending map[trace.ProcID]*oblig
+	pending int32
 }
 
 // oblig is a constraint-5(a) obligation: the latest load of one processor
 // inheriting from a given store must eventually carry a forced edge to the
-// store's ST-order successor.
+// store's ST-order successor. It is armed, and on the checker's armed
+// list, while its target is known and it is not yet discharged.
 type oblig struct {
-	store  *rec // the inherited-from store i
+	store  int32 // the inherited-from store i, whose pending list holds the slot
 	proc   trace.ProcID
-	load   *rec // current obligation carrier j (last inheritor of proc)
-	target *rec // k = i's ST-order successor; nil until known
+	load   int32 // current obligation carrier j (last inheritor of proc)
+	target int32 // k = i's ST-order successor; 0 until known
 	done   bool
+
+	prev, next           int32 // the store's neighbouring slots
+	prevArmed, nextArmed int32 // neighbours on the armed list
 }
 
-// bottomOblig is a constraint-5(b) obligation: the last LD(P,B,⊥) of each
+func (ob *oblig) armed() bool { return ob.target != 0 && !ob.done }
+
+// link is one cell of a record list: forced-edge targets of a load or of a
+// ⊥-load obligation.
+type link struct{ rec, prev, next int32 }
+
+// bottom is a constraint-5(b) obligation: the last LD(P,B,⊥) of each
 // (processor, block) pair must carry a forced edge to the first store of B
 // in ST order.
-type bottomOblig struct {
-	load    *rec
-	targets map[*rec]bool // stores of block B this load has forced edges to
+type bottom struct {
+	load    int32
+	targets int32 // list of stores of block B this load has forced edges to
 }
 
 type procState struct {
@@ -74,9 +87,9 @@ type procState struct {
 
 type blockState struct {
 	stores   bool
-	srcFinal int  // deactivated stores with stIn still false
-	snkFinal int  // deactivated stores with stOut still false
-	orphan   *rec // the deactivated store with stIn false, if any
+	srcFinal int   // deactivated stores with stIn still false
+	snkFinal int   // deactivated stores with stOut still false
+	orphan   int32 // the deactivated store with stIn false, if any
 }
 
 // Checker is the streaming SC checker. Construct with New; feed symbols
@@ -86,22 +99,32 @@ type Checker struct {
 	params   trace.Params // zero value disables the label range check
 	noValues bool         // skip value matching (Section 4.4 optimization)
 
-	cyc *cycle.Checker
+	cyc cycle.Checker
 
 	// owner maps descriptor IDs (1..k+1) to the active record they name;
 	// a record is active while at least one ID names it (idCount > 0).
-	owner []*rec
+	owner []int32
 	seq   int
 
-	procs  map[trace.ProcID]*procState
-	blocks map[trace.BlockID]*blockState
+	recs   arena[rec]
+	obligs arena[oblig]
+	links  arena[link]
+	armed  int32 // head of the armed obligations, linked through obligs
 
-	// armed holds constraint-5(a) obligations whose target is known but
-	// which are not yet discharged.
-	armed map[*oblig]bool
+	// index finds, for a load, the cell of each record on its list, and
+	// for a store, its obligation slot for each processor, so membership
+	// and slot lookups stay O(1) however many forced-edge targets a load
+	// collects and however many processors inherit from one store. A
+	// record is a load or a store, and its entries go when it does, so
+	// the two kinds of key never meet.
+	index map[[2]int]int32
 
-	// bottoms holds constraint-5(b) obligations keyed by (proc, block).
-	bottoms map[[2]int]*bottomOblig
+	// The per-processor, per-block and per-(processor, block) summaries
+	// are keyed by the wire IDs of the operation labels, which the stream
+	// chooses, so they are maps rather than slices sized by an ID.
+	procs   map[trace.ProcID]procState
+	blocks  map[trace.BlockID]blockState
+	bottoms map[[2]int]bottom
 
 	// symbols counts Step calls; stepping is the symbol currently being
 	// processed (nil outside Step), so rejections raised from anywhere in
@@ -111,21 +134,21 @@ type Checker struct {
 	witness  bool
 
 	rejected error
-
-	// pool is the reusable storage of a CopyFrom destination; nil otherwise.
-	pool *scratch // not copied: destination-owned
 }
 
 // New returns a checker for k-graph descriptors.
 func New(k int) *Checker {
 	return &Checker{
 		k:       k,
-		cyc:     cycle.New(k),
-		owner:   make([]*rec, k+2),
-		procs:   make(map[trace.ProcID]*procState),
-		blocks:  make(map[trace.BlockID]*blockState),
-		armed:   make(map[*oblig]bool),
-		bottoms: make(map[[2]int]*bottomOblig),
+		cyc:     *cycle.New(k),
+		owner:   make([]int32, k+2),
+		recs:    newArena[rec](),
+		obligs:  newArena[oblig](),
+		links:   newArena[link](),
+		index:   make(map[[2]int]int32),
+		procs:   make(map[trace.ProcID]procState),
+		blocks:  make(map[trace.BlockID]blockState),
+		bottoms: make(map[[2]int]bottom),
 	}
 }
 
@@ -160,33 +183,7 @@ func (c *Checker) EnableWitness() *Checker {
 	return c
 }
 
-func (c *Checker) proc(p trace.ProcID) *procState {
-	ps, ok := c.procs[p]
-	if !ok {
-		if c.pool == nil {
-			ps = &procState{}
-		} else {
-			ps = c.pool.procs.get()
-			*ps = procState{}
-		}
-		c.procs[p] = ps
-	}
-	return ps
-}
-
-func (c *Checker) block(b trace.BlockID) *blockState {
-	bs, ok := c.blocks[b]
-	if !ok {
-		if c.pool == nil {
-			bs = &blockState{}
-		} else {
-			bs = c.pool.blocks.get()
-			*bs = blockState{}
-		}
-		c.blocks[b] = bs
-	}
-	return bs
-}
+func (c *Checker) rec(i int32) *rec { return &c.recs.items[i] }
 
 // Step consumes one descriptor symbol. A rejection is sticky.
 func (c *Checker) Step(sym descriptor.Symbol) error {
@@ -210,38 +207,46 @@ func (c *Checker) Step(sym descriptor.Symbol) error {
 		if err := c.releaseID(v.ID); err != nil {
 			return err
 		}
-		store := v.Op.IsStore()
-		r := c.newRec(rec{seq: c.seq, op: *v.Op, active: true, idCount: 1}, !store, store)
+		i := c.recs.alloc()
+		*c.rec(i) = rec{seq: c.seq, op: *v.Op, active: true, idCount: 1}
 		c.seq++
-		c.owner[v.ID] = r
-		c.proc(r.op.Proc).seen = true
-		if store {
-			c.block(r.op.Block).stores = true
-		} else if r.op.Value == trace.Bottom {
-			key := [2]int{int(r.op.Proc), int(r.op.Block)}
+		c.owner[v.ID] = i
+		op := v.Op
+		ps := c.procs[op.Proc]
+		ps.seen = true
+		c.procs[op.Proc] = ps
+		if op.IsStore() {
+			bs := c.blocks[op.Block]
+			bs.stores = true
+			c.blocks[op.Block] = bs
+		} else if op.Value == trace.Bottom {
 			// The newest ⊥-load takes over the (P,B) obligation; the
 			// previous carrier is discharged through the program-order
 			// path to this one.
-			c.bottoms[key] = c.newBottom(r)
+			key := [2]int{int(op.Proc), int(op.Block)}
+			old := c.bottoms[key]
+			c.bottoms[key] = bottom{load: c.hold(i)}
+			c.dropList(old.load, old.targets)
+			c.drop(old.load)
 		}
 	case descriptor.AddID:
 		if v.Existing == v.New {
 			return nil // the ID stays with its current node
 		}
 		gainer := c.owner[v.Existing]
-		if c.owner[v.New] == gainer && gainer != nil {
+		if c.owner[v.New] == gainer && gainer != 0 {
 			return nil // alias already in place
 		}
 		if err := c.releaseID(v.New); err != nil {
 			return err
 		}
-		if gainer != nil {
+		if gainer != 0 {
 			c.owner[v.New] = gainer
-			gainer.idCount++
+			c.rec(gainer).idCount++
 		}
 	case descriptor.Edge:
 		a, b := c.owner[v.From], c.owner[v.To]
-		if a == nil || b == nil {
+		if a == 0 || b == 0 {
 			return nil // unbound IDs denote no edge
 		}
 		kind := v.Label.Kind()
@@ -272,37 +277,15 @@ func (c *Checker) Step(sym descriptor.Symbol) error {
 // releaseID unbinds an ID; when a record loses its last ID it is
 // deactivated and its retirement checks run.
 func (c *Checker) releaseID(id int) error {
-	r := c.owner[id]
-	if r == nil {
+	i := c.owner[id]
+	if i == 0 {
 		return nil
 	}
-	c.owner[id] = nil
+	c.owner[id] = 0
+	r := c.rec(i)
 	r.idCount--
 	if r.idCount > 0 {
 		return nil
 	}
-	return c.deactivate(r)
-}
-
-// activeRecs collects the distinct active records, sorted by seq so
-// iteration order is deterministic.
-func (c *Checker) activeRecs() []*rec {
-	out := make([]*rec, 0, len(c.owner))
-	for _, r := range c.owner {
-		if r == nil {
-			continue
-		}
-		dup := false
-		for _, seen := range out {
-			if seen == r {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
+	return c.deactivate(i)
 }

@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -344,5 +345,54 @@ func TestCheckerStickyRejection(t *testing.T) {
 	}
 	if c.Err() == nil {
 		t.Error("Err() should report rejection")
+	}
+}
+
+// TestFinishIsIdempotent checks that Finish is FinishDry made sticky:
+// FinishDry, Finish and a second Finish return the same text, on accepted
+// streams and on one rejected at end of stream, and after Finish, Err
+// reports the same rejection as a *RejectError at symbol index -1.
+func TestFinishIsIdempotent(t *testing.T) {
+	type row struct {
+		s descriptor.Stream
+		k int
+	}
+	rows := []row{{figure3Stream(), 3}}
+	streams, ks := observedStreams(t)
+	for i, s := range streams {
+		rows = append(rows, row{s, ks[i]})
+	}
+	rows = append(rows, row{descriptor.Stream{ // constraint 5a at end of stream
+		descriptor.Node{ID: 1, Op: op(trace.ST(1, 1, 1))},
+		descriptor.Node{ID: 2, Op: op(trace.LD(2, 1, 1))},
+		descriptor.Edge{From: 1, To: 2, Label: descriptor.Inh},
+		descriptor.Node{ID: 3, Op: op(trace.ST(1, 1, 2))},
+		descriptor.Edge{From: 1, To: 3, Label: descriptor.POSTo},
+	}, 3})
+	rejected := 0
+	for i, r := range rows {
+		c := New(r.k)
+		runInto(c, r.s)
+		stepErr := c.Err()
+		dry := errString(c.FinishDry())
+		if got := errString(c.Finish()); got != dry {
+			t.Fatalf("row %d: Finish says %q, FinishDry said %q", i, got, dry)
+		}
+		if got := errString(c.Finish()); got != dry {
+			t.Fatalf("row %d: second Finish says %q, first said %q", i, got, dry)
+		}
+		if got := errString(c.Err()); got != dry {
+			t.Fatalf("row %d: after Finish Err says %q, Finish said %q", i, got, dry)
+		}
+		var re *RejectError
+		if stepErr == nil && c.Err() != nil {
+			rejected++
+			if !errors.As(c.Err(), &re) || re.SymbolIndex != -1 {
+				t.Fatalf("row %d: end-of-stream rejection %#v, want a *RejectError at symbol -1", i, c.Err())
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no row was rejected at end of stream")
 	}
 }

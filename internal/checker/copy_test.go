@@ -28,24 +28,58 @@ func runInto(c *Checker, s descriptor.Stream) {
 	}
 }
 
-// sameFuture steps a and b through the same suffix and fails on the first
-// difference in error text or state key, then compares their Finish.
-func sameFuture(t *testing.T, a, b *Checker, suffix descriptor.Stream) {
+// sameFuture checks src against its copy cp and its clone cl. First cp
+// and cl step through suffix: they must agree on every error and state
+// key, then on FinishDry and Finish, and src must stay as it was. Then src
+// steps through suffix itself and must agree with them at every symbol,
+// while cp and cl stay as they ended. The three arenas must end consistent
+// (see checkRecords).
+func sameFuture(t *testing.T, src, cp, cl *Checker, suffix descriptor.Stream) {
 	t.Helper()
+	before := src.StateKey()
+	var errs []string
+	var keys [][]byte
 	for i, sym := range suffix {
-		ea, eb := a.Step(sym), b.Step(sym)
+		ea, eb := cp.Step(sym), cl.Step(sym)
 		if errString(ea) != errString(eb) {
 			t.Fatalf("suffix symbol %d (%s): copy says %q, clone says %q", i, sym, errString(ea), errString(eb))
 		}
-		if !bytes.Equal(a.StateKey(), b.StateKey()) {
+		if !bytes.Equal(cp.StateKey(), cl.StateKey()) {
 			t.Fatalf("suffix symbol %d (%s): state keys differ", i, sym)
 		}
+		errs, keys = append(errs, errString(ea)), append(keys, cp.StateKey())
 	}
-	if ea, eb := a.FinishDry(), b.FinishDry(); errString(ea) != errString(eb) {
-		t.Fatalf("FinishDry: copy says %q, clone says %q", errString(ea), errString(eb))
+	dry := errString(cp.FinishDry())
+	if e := errString(cl.FinishDry()); e != dry {
+		t.Fatalf("FinishDry: copy says %q, clone says %q", dry, e)
 	}
-	if ea, eb := a.Finish(), b.Finish(); errString(ea) != errString(eb) {
-		t.Fatalf("Finish: copy says %q, clone says %q", errString(ea), errString(eb))
+	fin := errString(cp.Finish())
+	if e := errString(cl.Finish()); e != fin {
+		t.Fatalf("Finish: copy says %q, clone says %q", fin, e)
+	}
+	if !bytes.Equal(src.StateKey(), before) {
+		t.Fatal("stepping the copy and the clone changed the source")
+	}
+	endCp, endCl := cp.StateKey(), cl.StateKey()
+	for i, sym := range suffix {
+		if e := errString(src.Step(sym)); e != errs[i] {
+			t.Fatalf("suffix symbol %d (%s): source says %q, copy said %q", i, sym, e, errs[i])
+		}
+		if !bytes.Equal(src.StateKey(), keys[i]) {
+			t.Fatalf("suffix symbol %d (%s): source key differs from the copy's", i, sym)
+		}
+	}
+	if e := errString(src.FinishDry()); e != dry {
+		t.Fatalf("FinishDry: source says %q, copy said %q", e, dry)
+	}
+	if e := errString(src.Finish()); e != fin {
+		t.Fatalf("Finish: source says %q, copy said %q", e, fin)
+	}
+	if !bytes.Equal(cp.StateKey(), endCp) || !bytes.Equal(cl.StateKey(), endCl) {
+		t.Fatal("stepping the source changed the copy or the clone")
+	}
+	for _, c := range []*Checker{src, cp, cl} {
+		checkRecords(t, c)
 	}
 }
 
@@ -76,11 +110,12 @@ func observedStreams(t *testing.T) ([]descriptor.Stream, []int) {
 }
 
 // TestCopyFromMatchesClone checks that CopyFrom into a dirty checker and
-// Clone produce checkers with identical futures, at every cut of every
+// Clone produce checkers with the source's future, at every cut of every
 // observed stream and in witness mode too, and on random adversarial
-// streams, and that the source is left untouched.
-// The cuts must between them cover non-empty ⊥-load obligations, forced
-// edge sets and armed obligations, and a rejected source.
+// streams: copy, clone and source step in turn and must agree (see
+// sameFuture). The cuts must between them cover non-empty ⊥-load
+// obligations, forced edge lists and armed obligations, and a rejected
+// source.
 func TestCopyFromMatchesClone(t *testing.T) {
 	streams, ks := observedStreams(t)
 	var sawBottoms, sawForced, sawArmed, sawRejected bool
@@ -96,18 +131,15 @@ func TestCopyFromMatchesClone(t *testing.T) {
 				}
 				runInto(src, s[:cut])
 				sawBottoms = sawBottoms || len(src.bottoms) > 0
-				sawArmed = sawArmed || len(src.armed) > 0
 				sawRejected = sawRejected || src.Err() != nil
-				for _, r := range src.owner {
-					sawForced = sawForced || (r != nil && len(r.forcedTo) > 0)
+				for _, ob := range src.obligs.items {
+					sawArmed = sawArmed || ob.armed()
 				}
-				before := src.StateKey()
+				for _, r := range src.recs.items {
+					sawForced = sawForced || (r.active && r.forced != 0)
+				}
 				dst.CopyFrom(src)
-				cl := src.Clone()
-				sameFuture(t, dst, cl, s[cut:])
-				if !bytes.Equal(src.StateKey(), before) {
-					t.Fatalf("stream %d cut %d: stepping the copy changed the source", si, cut)
-				}
+				sameFuture(t, src, dst, src.Clone(), s[cut:])
 			}
 		}
 	}
@@ -122,18 +154,18 @@ func TestCopyFromMatchesClone(t *testing.T) {
 		src := New(4)
 		runInto(src, s[:cut])
 		dst.CopyFrom(src)
-		sameFuture(t, dst, src.Clone(), s[cut:])
+		sameFuture(t, src, dst, src.Clone(), s[cut:])
 	}
 	if !sawBottoms || !sawForced || !sawArmed || !sawRejected {
-		t.Fatalf("coverage: bottoms %v, forcedTo %v, armed %v, rejected %v", sawBottoms, sawForced, sawArmed, sawRejected)
+		t.Fatalf("coverage: bottoms %v, forced %v, armed %v, rejected %v", sawBottoms, sawForced, sawArmed, sawRejected)
 	}
 }
 
-// TestCopyFromMatchesCloneLargeState covers states with more records than
-// linearMemo, where the copy memos switch from a linear scan to a map: a
-// program-order chain of stores on distinct IDs, cut every seven symbols.
+// TestCopyFromMatchesCloneLargeState covers states holding many records: a
+// program-order chain of 96 stores on distinct IDs, cut every seven
+// symbols.
 func TestCopyFromMatchesCloneLargeState(t *testing.T) {
-	const n = 3 * linearMemo
+	const n = 96
 	const k = n + 4
 	var s descriptor.Stream
 	for id := 1; id <= n; id++ {
@@ -148,7 +180,7 @@ func TestCopyFromMatchesCloneLargeState(t *testing.T) {
 		src := New(k)
 		runInto(src, s[:cut])
 		dst.CopyFrom(src)
-		sameFuture(t, dst, src.Clone(), s[cut:])
+		sameFuture(t, src, dst, src.Clone(), s[cut:])
 	}
 	src := New(k)
 	runInto(src, s)
@@ -156,44 +188,19 @@ func TestCopyFromMatchesCloneLargeState(t *testing.T) {
 		t.Fatalf("chain rejected: %v", src.Err())
 	}
 	live := 0
-	for _, r := range src.owner {
-		if r != nil {
+	for _, r := range src.recs.items {
+		if r.active {
 			live++
 		}
 	}
-	if live <= linearMemo {
-		t.Fatalf("chain holds %d records, want more than %d", live, linearMemo)
-	}
-}
-
-// TestPtrMemo checks the memo across its switch from linear scan to map,
-// and that reset empties it for reuse.
-func TestPtrMemo(t *testing.T) {
-	src := make([]*rec, 3*linearMemo)
-	dst := make([]*rec, len(src))
-	for i := range src {
-		src[i], dst[i] = new(rec), new(rec)
-	}
-	var m ptrMemo[rec]
-	for round := 0; round < 2; round++ {
-		for i := range src {
-			if m.get(src[i]) != nil {
-				t.Fatalf("round %d: entry %d present before put", round, i)
-			}
-			m = m.put(src[i], dst[i])
-			for j := 0; j <= i; j++ {
-				if m.get(src[j]) != dst[j] {
-					t.Fatalf("round %d: after %d puts, entry %d lost", round, i+1, j)
-				}
-			}
-		}
-		m.reset()
+	if live != n {
+		t.Fatalf("chain holds %d active records, want %d", live, n)
 	}
 }
 
 // FuzzCopyFromMatchesClone runs a random prefix, copies the checker into a
-// dirty checker with CopyFrom and clones it, then requires the same suffix
-// to give equal state keys and verdicts on both.
+// dirty checker with CopyFrom and clones it, then requires source, copy
+// and clone to agree on the same suffix (see sameFuture).
 func FuzzCopyFromMatchesClone(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 2, 3, 4}, uint8(2), false)
 	f.Add([]byte{1, 0, 0, 1, 5, 5, 4, 4, 3, 2, 0, 2, 1, 3, 3, 3}, uint8(7), true)
@@ -209,11 +216,7 @@ func FuzzCopyFromMatchesClone(f *testing.F) {
 		runInto(src, s[:n])
 		dst := New(k)
 		runInto(dst, fuzzStream(append([]byte{3}, data...), k))
-		before := src.StateKey()
 		dst.CopyFrom(src)
-		sameFuture(t, dst, src.Clone(), s[n:])
-		if !bytes.Equal(src.StateKey(), before) {
-			t.Fatal("stepping the copy changed the source")
-		}
+		sameFuture(t, src, dst, src.Clone(), s[n:])
 	})
 }

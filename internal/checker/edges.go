@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"cmp"
 	"slices"
 
 	"scverify/internal/descriptor"
@@ -19,59 +20,65 @@ const (
 // onProgramOrder enforces constraint 2 incrementally: program-order edges
 // stay within one processor, respect trace order, and never give a node
 // two incoming or two outgoing program-order edges.
-func (c *Checker) onProgramOrder(a, b *rec) error {
-	if a.op.Proc != b.op.Proc {
-		return c.reject(Constraint2, []trace.Op{a.op, b.op}, "constraint 2: program-order edge %s→%s crosses processors", a.op, b.op)
+func (c *Checker) onProgramOrder(a, b int32) error {
+	ra, rb := c.rec(a), c.rec(b)
+	if ra.op.Proc != rb.op.Proc {
+		return c.reject(Constraint2, []trace.Op{ra.op, rb.op}, "constraint 2: program-order edge %s→%s crosses processors", ra.op, rb.op)
 	}
-	if a.seq >= b.seq {
-		return c.reject(Constraint2, []trace.Op{a.op, b.op}, "constraint 2: program-order edge %s→%s against trace order", a.op, b.op)
+	if ra.seq >= rb.seq {
+		return c.reject(Constraint2, []trace.Op{ra.op, rb.op}, "constraint 2: program-order edge %s→%s against trace order", ra.op, rb.op)
 	}
-	if a.poNext == b {
+	if ra.poOut && ra.poNext == rb.seq {
 		return nil // duplicate symbol for an existing edge
 	}
-	if a.poOut {
-		return c.reject(Constraint2, []trace.Op{a.op}, "constraint 2: second outgoing program-order edge from %s", a.op)
+	if ra.poOut {
+		return c.reject(Constraint2, []trace.Op{ra.op}, "constraint 2: second outgoing program-order edge from %s", ra.op)
 	}
-	if b.poIn {
-		return c.reject(Constraint2, []trace.Op{b.op}, "constraint 2: second incoming program-order edge into %s", b.op)
+	if rb.poIn {
+		return c.reject(Constraint2, []trace.Op{rb.op}, "constraint 2: second incoming program-order edge into %s", rb.op)
 	}
-	a.poOut, b.poIn = true, true
-	a.poNext = b
+	ra.poOut, rb.poIn = true, true
+	ra.poNext = rb.seq
 	return nil
 }
 
 // onStoreOrder enforces constraint 3 incrementally and arms constraint-5(a)
 // obligations: once a store's ST-order successor k is known, every pending
 // inheritor of the store owes a forced edge to k.
-func (c *Checker) onStoreOrder(a, b *rec) error {
-	if !a.op.IsStore() || !b.op.IsStore() {
-		return c.reject(Constraint3, []trace.Op{a.op, b.op}, "constraint 3: ST-order edge %s→%s touches a non-store", a.op, b.op)
+func (c *Checker) onStoreOrder(a, b int32) error {
+	ra, rb := c.rec(a), c.rec(b)
+	if !ra.op.IsStore() || !rb.op.IsStore() {
+		return c.reject(Constraint3, []trace.Op{ra.op, rb.op}, "constraint 3: ST-order edge %s→%s touches a non-store", ra.op, rb.op)
 	}
-	if a.op.Block != b.op.Block {
-		return c.reject(Constraint3, []trace.Op{a.op, b.op}, "constraint 3: ST-order edge %s→%s crosses blocks", a.op, b.op)
+	if ra.op.Block != rb.op.Block {
+		return c.reject(Constraint3, []trace.Op{ra.op, rb.op}, "constraint 3: ST-order edge %s→%s crosses blocks", ra.op, rb.op)
 	}
-	if a.stSucc == b {
+	if ra.stSucc == b {
 		return nil // duplicate symbol for an existing edge
 	}
-	if a.stOut {
-		return c.reject(Constraint3, []trace.Op{a.op}, "constraint 3: second outgoing ST-order edge from %s", a.op)
+	if ra.stOut {
+		return c.reject(Constraint3, []trace.Op{ra.op}, "constraint 3: second outgoing ST-order edge from %s", ra.op)
 	}
-	if b.stIn {
-		return c.reject(Constraint3, []trace.Op{b.op}, "constraint 3: second incoming ST-order edge into %s", b.op)
+	if rb.stIn {
+		return c.reject(Constraint3, []trace.Op{rb.op}, "constraint 3: second incoming ST-order edge into %s", rb.op)
 	}
-	a.stOut, b.stIn = true, true
-	a.stSucc = b
+	ra.stOut, rb.stIn = true, true
+	ra.stSucc = c.hold(b)
 	// b can no longer be the first store of its block: ⊥-load obligations
 	// tentatively satisfied by b are no longer.
-	for _, bo := range c.bottoms {
-		delete(bo.targets, b)
+	for key, bo := range c.bottoms {
+		if c.has(bo.load, b) {
+			bo.targets = c.removeLink(bo.load, bo.targets, b)
+			c.bottoms[key] = bo
+		}
 	}
-	for _, ob := range a.pending {
-		ob.target = b
-		ob.done = ob.load.forcedTo[b]
+	for o := ra.pending; o != 0; o = c.obligs.items[o].next {
+		ob := &c.obligs.items[o]
+		ob.target = c.hold(b)
+		ob.done = c.has(ob.load, b)
 		if !ob.done {
-			c.armed[ob] = true
-			if err := c.checkFeasible(ob); err != nil {
+			c.arm(o)
+			if err := c.checkFeasible(o); err != nil {
 				return err
 			}
 		}
@@ -81,36 +88,43 @@ func (c *Checker) onStoreOrder(a, b *rec) error {
 
 // onInheritance enforces constraint 4 and installs or transfers the
 // constraint-5(a) obligation slot for (store, processor).
-func (c *Checker) onInheritance(a, b *rec) error {
-	if !b.op.IsLoad() || b.op.Value == trace.Bottom {
-		return c.reject(Constraint4, []trace.Op{b.op}, "constraint 4: inheritance edge into %s", b.op)
+func (c *Checker) onInheritance(a, b int32) error {
+	ra, rb := c.rec(a), c.rec(b)
+	if !rb.op.IsLoad() || rb.op.Value == trace.Bottom {
+		return c.reject(Constraint4, []trace.Op{rb.op}, "constraint 4: inheritance edge into %s", rb.op)
 	}
-	if !a.op.IsStore() || a.op.Block != b.op.Block {
-		return c.reject(Constraint4, []trace.Op{a.op, b.op}, "constraint 4: inheritance edge %s→%s mismatched", a.op, b.op)
+	if !ra.op.IsStore() || ra.op.Block != rb.op.Block {
+		return c.reject(Constraint4, []trace.Op{ra.op, rb.op}, "constraint 4: inheritance edge %s→%s mismatched", ra.op, rb.op)
 	}
-	if !c.noValues && a.op.Value != b.op.Value {
-		return c.reject(Constraint4, []trace.Op{a.op, b.op}, "constraint 4: inheritance edge %s→%s value mismatch", a.op, b.op)
+	if !c.noValues && ra.op.Value != rb.op.Value {
+		return c.reject(Constraint4, []trace.Op{ra.op, rb.op}, "constraint 4: inheritance edge %s→%s value mismatch", ra.op, rb.op)
 	}
-	if b.inhFrom == a {
+	if rb.inhFrom == a {
 		return nil // duplicate symbol for an existing edge
 	}
-	if b.inhIn {
-		return c.reject(Constraint4, []trace.Op{b.op}, "constraint 4: second inheritance edge into %s", b.op)
+	if rb.inhIn {
+		return c.reject(Constraint4, []trace.Op{rb.op}, "constraint 4: second inheritance edge into %s", rb.op)
 	}
-	b.inhIn = true
-	b.inhFrom = a
+	rb.inhIn = true
+	rb.inhFrom = c.hold(a)
 	// The new load becomes the obligation carrier for (a, proc): the
 	// previous carrier is discharged via the program-order path to b.
-	if old, ok := a.pending[b.op.Proc]; ok {
-		delete(c.armed, old)
+	if old := c.slot(a, rb.op.Proc); old != 0 {
+		c.unlinkSlot(old)
 	}
-	ob := c.newOblig(oblig{store: a, proc: b.op.Proc, load: b})
-	a.pending[b.op.Proc] = ob
-	if a.stSucc != nil {
-		ob.target = a.stSucc
-		ob.done = b.forcedTo[a.stSucc]
+	o := c.obligs.alloc()
+	ob := &c.obligs.items[o]
+	*ob = oblig{store: a, proc: rb.op.Proc, load: c.hold(b), next: ra.pending}
+	if ra.pending != 0 {
+		c.obligs.items[ra.pending].prev = o
+	}
+	ra.pending = o
+	c.index[indexKey(a, int(rb.op.Proc))] = o
+	if ra.stSucc != 0 {
+		ob.target = c.hold(ra.stSucc)
+		ob.done = c.has(b, ra.stSucc)
 		if !ob.done {
-			c.armed[ob] = true
+			c.arm(o)
 		}
 	}
 	return nil
@@ -120,23 +134,27 @@ func (c *Checker) onInheritance(a, b *rec) error {
 // that cannot discharge anything (wrong endpoint kinds or blocks) carry no
 // annotation obligations of their own, so they are simply ignored here;
 // the cycle checker has already added them to the graph.
-func (c *Checker) onForced(a, b *rec) error {
-	if !a.op.IsLoad() || !b.op.IsStore() || a.op.Block != b.op.Block {
+func (c *Checker) onForced(a, b int32) error {
+	ra, rb := c.rec(a), c.rec(b)
+	if !ra.op.IsLoad() || !rb.op.IsStore() || ra.op.Block != rb.op.Block {
 		return nil
 	}
-	if a.op.Value == trace.Bottom {
-		key := [2]int{int(a.op.Proc), int(a.op.Block)}
-		if bo, ok := c.bottoms[key]; ok && bo.load == a && !b.stIn {
+	if ra.op.Value == trace.Bottom {
+		key := [2]int{int(ra.op.Proc), int(ra.op.Block)}
+		if bo, ok := c.bottoms[key]; ok && bo.load == a && !rb.stIn {
 			// b is still a candidate first store of the block.
-			bo.targets[b] = true
+			bo.targets = c.addLink(a, bo.targets, b)
+			c.bottoms[key] = bo
 		}
 		return nil
 	}
-	a.forcedTo[b] = true
-	if a.inhFrom != nil {
-		if ob, ok := a.inhFrom.pending[a.op.Proc]; ok && ob.load == a && ob.target == b {
-			ob.done = true
-			delete(c.armed, ob)
+	ra.forced = c.addLink(a, ra.forced, b)
+	if ra.inhFrom != 0 {
+		if o := c.slot(ra.inhFrom, ra.op.Proc); o != 0 {
+			if ob := &c.obligs.items[o]; ob.load == a && ob.target == b && !ob.done {
+				ob.done = true
+				c.disarm(o)
+			}
 		}
 	}
 	return nil
@@ -145,15 +163,17 @@ func (c *Checker) onForced(a, b *rec) error {
 // checkFeasible eagerly rejects an armed obligation that can no longer be
 // satisfied: the forced edge needs the carrier load and the target store
 // bound, and a replacement carrier needs the inherited-from store bound.
-func (c *Checker) checkFeasible(ob *oblig) error {
-	if ob.done {
+func (c *Checker) checkFeasible(o int32) error {
+	ob := c.obligs.items[o]
+	if !ob.armed() {
 		return nil
 	}
-	if !ob.target.active {
-		return c.reject(Constraint5a, []trace.Op{ob.load.op, ob.target.op}, "constraint 5a: load %s owes a forced edge to retired store %s", ob.load.op, ob.target.op)
+	load, target := c.rec(ob.load), c.rec(ob.target)
+	if !target.active {
+		return c.reject(Constraint5a, []trace.Op{load.op, target.op}, "constraint 5a: load %s owes a forced edge to retired store %s", load.op, target.op)
 	}
-	if !ob.load.active && !ob.store.active {
-		return c.reject(Constraint5a, []trace.Op{ob.load.op, ob.target.op}, "constraint 5a: retired load %s owes a forced edge to %s and no successor inheritor can arise", ob.load.op, ob.target.op)
+	if !load.active && !c.rec(ob.store).active {
+		return c.reject(Constraint5a, []trace.Op{load.op, target.op}, "constraint 5a: retired load %s owes a forced edge to %s and no successor inheritor can arise", load.op, target.op)
 	}
 	return nil
 }
@@ -161,244 +181,201 @@ func (c *Checker) checkFeasible(ob *oblig) error {
 // deactivate finalizes a node whose ID-set became empty. Its program-order
 // and ST-order degree bits are now final, inheritance for loads must have
 // arrived, and outstanding obligations are re-examined for feasibility.
-func (c *Checker) deactivate(r *rec) error {
+func (c *Checker) deactivate(i int32) error {
+	r := c.rec(i)
 	r.active = false
+	// Hold i while its own links are dropped below, so that it is reclaimed
+	// once, at the end, if nothing else refers to it.
+	c.hold(i)
 
-	ps := c.proc(r.op.Proc)
+	ps := c.procs[r.op.Proc]
 	if !r.poIn {
 		ps.srcFinal++
-		if ps.srcFinal > 1 {
-			return c.reject(Constraint2, []trace.Op{r.op}, "constraint 2: two first operations for processor P%d", r.op.Proc)
-		}
 	}
 	if !r.poOut {
 		ps.snkFinal++
-		if ps.snkFinal > 1 {
-			return c.reject(Constraint2, []trace.Op{r.op}, "constraint 2: two last operations for processor P%d", r.op.Proc)
-		}
+	}
+	c.procs[r.op.Proc] = ps
+	if !r.poIn && ps.srcFinal > 1 {
+		return c.reject(Constraint2, []trace.Op{r.op}, "constraint 2: two first operations for processor P%d", r.op.Proc)
+	}
+	if !r.poOut && ps.snkFinal > 1 {
+		return c.reject(Constraint2, []trace.Op{r.op}, "constraint 2: two last operations for processor P%d", r.op.Proc)
 	}
 
 	if r.op.IsStore() {
-		bs := c.block(r.op.Block)
+		bs := c.blocks[r.op.Block]
 		if !r.stIn {
 			bs.srcFinal++
-			bs.orphan = r
-			if bs.srcFinal > 1 {
-				return c.reject(Constraint3, []trace.Op{r.op}, "constraint 3: two first stores for block B%d", r.op.Block)
-			}
+			c.drop(bs.orphan)
+			bs.orphan = c.hold(i)
 		}
 		if !r.stOut {
 			bs.snkFinal++
-			if bs.snkFinal > 1 {
-				return c.reject(Constraint3, []trace.Op{r.op}, "constraint 3: two last stores for block B%d", r.op.Block)
-			}
+		}
+		c.blocks[r.op.Block] = bs
+		if !r.stIn && bs.srcFinal > 1 {
+			return c.reject(Constraint3, []trace.Op{r.op}, "constraint 3: two first stores for block B%d", r.op.Block)
+		}
+		if !r.stOut && bs.snkFinal > 1 {
+			return c.reject(Constraint3, []trace.Op{r.op}, "constraint 3: two last stores for block B%d", r.op.Block)
 		}
 		// No ST-order successor can arrive anymore: pending obligations with
 		// unknown targets are vacuous; armed ones must now be carried by
 		// their current loads alone.
-		for p, ob := range r.pending {
-			if ob.target == nil {
-				delete(r.pending, p)
-				continue
-			}
-			if err := c.checkFeasible(ob); err != nil {
+		for o := r.pending; o != 0; {
+			next := c.obligs.items[o].next
+			if c.obligs.items[o].target == 0 {
+				c.unlinkSlot(o)
+			} else if err := c.checkFeasible(o); err != nil {
 				return err
 			}
+			o = next
 		}
-	} else {
-		if r.op.Value != trace.Bottom && !r.inhIn {
-			return c.reject(Constraint4, []trace.Op{r.op}, "constraint 4: load %s retired without an inheritance edge", r.op)
-		}
+	} else if r.op.Value != trace.Bottom && !r.inhIn {
+		return c.reject(Constraint4, []trace.Op{r.op}, "constraint 4: load %s retired without an inheritance edge", r.op)
 	}
 
 	// Re-examine armed obligations touching this node.
-	for ob := range c.armed {
-		if ob.load == r || ob.target == r || ob.store == r {
-			if err := c.checkFeasible(ob); err != nil {
+	for o := c.armed; o != 0; o = c.obligs.items[o].nextArmed {
+		if ob := &c.obligs.items[o]; ob.load == i || ob.target == i || ob.store == i {
+			if err := c.checkFeasible(o); err != nil {
 				return err
 			}
 		}
 	}
 
 	// Sever links no future symbol can read. Edges reach records only
-	// through live IDs, so a retired record's successor pointers are
+	// through live IDs, so a retired record's successor links are
 	// write-only from here on; a pending slot whose carrier load has
 	// itself retired can never match a live inheritor again (and the
 	// armed/feasibility checks above have already adjudicated it). Without
 	// this, retired records chain through the entire history — e.g. a
 	// block's first store reaches every store of the block via stSucc —
 	// and Clone/StateKey degrade from O(k²) to O(stream).
-	r.poNext = nil
 	if r.op.IsStore() {
-		r.stSucc = nil
-		for p, ob := range r.pending {
-			if !ob.load.active {
-				delete(r.pending, p)
+		succ := r.stSucc
+		r.stSucc = 0
+		c.drop(succ)
+		for o := r.pending; o != 0; {
+			next := c.obligs.items[o].next
+			if !c.rec(c.obligs.items[o].load).active {
+				c.unlinkSlot(o)
 			}
+			o = next
 		}
-	} else {
-		if s := r.inhFrom; s != nil && !s.active {
-			if ob, ok := s.pending[r.op.Proc]; ok && ob.load == r {
-				delete(s.pending, r.op.Proc)
-			}
+	} else if s := r.inhFrom; s != 0 {
+		if o := c.slot(s, r.op.Proc); o != 0 && !c.rec(s).active && c.obligs.items[o].load == i {
+			c.unlinkSlot(o)
 		}
-		r.inhFrom = nil
+		r.inhFrom = 0
+		c.drop(s)
 	}
+	c.drop(i)
 	return nil
 }
 
-// Finish concludes the stream: every still-active node is finalized and
-// the end-of-trace totality and obligation checks run. The checker must
-// not be stepped after Finish.
+// Finish concludes the stream: the end-of-trace totality and obligation
+// checks of FinishDry run, and a rejection becomes the checker's sticky
+// one. Finish does not mutate the checker otherwise, so calling it again
+// gives the same answer.
 func (c *Checker) Finish() error {
-	if c.rejected != nil {
-		return c.rejected
-	}
-	// Finalize active nodes, deterministically by age so error messages
-	// are stable.
-	for _, r := range c.activeRecs() {
-		ps := c.proc(r.op.Proc)
-		if !r.poIn {
-			ps.srcFinal++
-		}
-		if !r.poOut {
-			ps.snkFinal++
-		}
-		if r.op.IsStore() {
-			bs := c.block(r.op.Block)
-			if !r.stIn {
-				bs.srcFinal++
-				bs.orphan = r
-			}
-			if !r.stOut {
-				bs.snkFinal++
-			}
-		} else if r.op.Value != trace.Bottom && !r.inhIn {
-			return c.reject(Constraint4, []trace.Op{r.op}, "constraint 4: load %s has no inheritance edge at end of run", r.op)
-		}
-	}
-	var procBuf [16]trace.ProcID
-	for _, p := range inOrder(c.procs, procBuf[:0], cmpID[trace.ProcID]) {
-		ps := c.procs[p]
-		if !ps.seen {
-			continue
-		}
-		if ps.srcFinal != 1 || ps.snkFinal != 1 {
-			return c.reject(Constraint2, nil, "constraint 2: processor P%d has %d first / %d last operations, want 1/1", p, ps.srcFinal, ps.snkFinal)
-		}
-	}
-	var blockBuf [16]trace.BlockID
-	for _, b := range inOrder(c.blocks, blockBuf[:0], cmpID[trace.BlockID]) {
-		bs := c.blocks[b]
-		if !bs.stores {
-			continue
-		}
-		if bs.srcFinal != 1 || bs.snkFinal != 1 {
-			return c.reject(Constraint3, nil, "constraint 3: block B%d has %d first / %d last stores, want 1/1", b, bs.srcFinal, bs.snkFinal)
-		}
-	}
-	if ob := c.firstUndischarged(); ob != nil {
-		return c.reject(Constraint5a, []trace.Op{ob.load.op, ob.target.op}, "constraint 5a: load %s never produced a forced edge to %s", ob.load.op, ob.target.op)
-	}
-	var bottomBuf [16][2]int
-	for _, key := range inOrder(c.bottoms, bottomBuf[:0], cmpPair) {
-		bo := c.bottoms[key]
-		b := trace.BlockID(key[1])
-		bs := c.blocks[b]
-		if bs == nil || !bs.stores {
-			continue // no store to the block: constraint 5(b) vacuous
-		}
-		first := bs.orphan
-		if first == nil {
-			return c.reject(ConstraintInternal, nil, "internal: block B%d has stores but no first store", b)
-		}
-		if !bo.targets[first] {
-			return c.reject(Constraint5b, []trace.Op{bo.load.op}, "constraint 5b: ⊥-load %s has no forced edge to block B%d's first store", bo.load.op, b)
-		}
+	if err := c.FinishDry(); err != nil {
+		c.rejected = err
+		return err
 	}
 	return nil
 }
 
 // FinishDry reports whether Finish would accept right now, without
-// mutating the checker: the end-of-stream totality and obligation checks
-// run against temporary counters. The model checker calls this once per
-// discovered product state (every run prefix is a run), so it must be
-// allocation-light and side-effect free.
+// mutating the checker: every still-active node is counted as if it were
+// finalized, and the end-of-stream totality and obligation checks run. The
+// model checker calls this once per discovered product state (every run
+// prefix is a run), so it allocates nothing for states of up to 64 active
+// nodes.
 func (c *Checker) FinishDry() error {
 	if c.rejected != nil {
 		return c.rejected
 	}
-	type counts struct{ src, snk int }
-	procs := make(map[trace.ProcID]counts, len(c.procs))
-	blocks := make(map[trace.BlockID]counts, len(c.blocks))
-	orphan := make(map[trace.BlockID]*rec, len(c.blocks))
-	for p, ps := range c.procs {
-		procs[p] = counts{src: ps.srcFinal, snk: ps.snkFinal}
-	}
-	for b, bs := range c.blocks {
-		blocks[b] = counts{src: bs.srcFinal, snk: bs.snkFinal}
-		if bs.orphan != nil {
-			orphan[b] = bs.orphan
+	var actBuf [64]int32
+	act := actBuf[:0]
+	var late *rec // the oldest active non-⊥ load without an inheritance edge
+	for i := range c.recs.items {
+		r := c.rec(int32(i))
+		if !r.active {
+			continue
+		}
+		act = append(act, int32(i))
+		if r.op.IsLoad() && r.op.Value != trace.Bottom && !r.inhIn && (late == nil || r.seq < late.seq) {
+			late = r
 		}
 	}
-	for _, r := range c.activeRecs() {
-		pc := procs[r.op.Proc]
-		if !r.poIn {
-			pc.src++
-		}
-		if !r.poOut {
-			pc.snk++
-		}
-		procs[r.op.Proc] = pc
-		if r.op.IsStore() {
-			bc := blocks[r.op.Block]
-			if !r.stIn {
-				bc.src++
-				orphan[r.op.Block] = r
-			}
-			if !r.stOut {
-				bc.snk++
-			}
-			blocks[r.op.Block] = bc
-		} else if r.op.Value != trace.Bottom && !r.inhIn {
-			return dryReject(Constraint4, []trace.Op{r.op}, "constraint 4: load %s has no inheritance edge at end of run", r.op)
-		}
+	if late != nil {
+		return dryReject(Constraint4, []trace.Op{late.op}, "constraint 4: load %s has no inheritance edge at end of run", late.op)
 	}
+	// Every active record's processor and every active store's block has
+	// an entry, so merging the sorted keys with the active records sorted
+	// the same way adds each record to its own entry's counts.
+	slices.SortFunc(act, func(a, b int32) int { return cmp.Compare(c.rec(a).op.Proc, c.rec(b).op.Proc) })
 	var procBuf [16]trace.ProcID
+	j := 0
 	for _, p := range inOrder(c.procs, procBuf[:0], cmpID[trace.ProcID]) {
-		if !c.procs[p].seen {
-			continue
+		ps := c.procs[p]
+		src, snk := ps.srcFinal, ps.snkFinal
+		for ; j < len(act) && c.rec(act[j]).op.Proc <= p; j++ {
+			r := c.rec(act[j])
+			src += int(b2u(!r.poIn))
+			snk += int(b2u(!r.poOut))
 		}
-		if pc := procs[p]; pc.src != 1 || pc.snk != 1 {
-			return dryReject(Constraint2, nil, "constraint 2: processor P%d has %d first / %d last operations, want 1/1", p, pc.src, pc.snk)
+		if ps.seen && (src != 1 || snk != 1) {
+			return dryReject(Constraint2, nil, "constraint 2: processor P%d has %d first / %d last operations, want 1/1", p, src, snk)
 		}
 	}
+	slices.SortFunc(act, func(a, b int32) int { return cmp.Compare(c.rec(a).op.Block, c.rec(b).op.Block) })
 	var blockBuf [16]trace.BlockID
+	j = 0
 	for _, b := range inOrder(c.blocks, blockBuf[:0], cmpID[trace.BlockID]) {
-		if !c.blocks[b].stores {
-			continue
+		bs := c.blocks[b]
+		src, snk := bs.srcFinal, bs.snkFinal
+		for ; j < len(act) && c.rec(act[j]).op.Block <= b; j++ {
+			if r := c.rec(act[j]); r.op.Block == b && r.op.IsStore() {
+				src += int(b2u(!r.stIn))
+				snk += int(b2u(!r.stOut))
+			}
 		}
-		if bc := blocks[b]; bc.src != 1 || bc.snk != 1 {
-			return dryReject(Constraint3, nil, "constraint 3: block B%d has %d first / %d last stores, want 1/1", b, bc.src, bc.snk)
+		if bs.stores && (src != 1 || snk != 1) {
+			return dryReject(Constraint3, nil, "constraint 3: block B%d has %d first / %d last stores, want 1/1", b, src, snk)
 		}
 	}
-	if ob := c.firstUndischarged(); ob != nil {
-		return dryReject(Constraint5a, []trace.Op{ob.load.op, ob.target.op}, "constraint 5a: load %s never produced a forced edge to %s", ob.load.op, ob.target.op)
+	if o := c.firstUndischarged(); o != 0 {
+		ob := c.obligs.items[o]
+		load, target := c.rec(ob.load).op, c.rec(ob.target).op
+		return dryReject(Constraint5a, []trace.Op{load, target}, "constraint 5a: load %s never produced a forced edge to %s", load, target)
 	}
 	var bottomBuf [16][2]int
 	for _, key := range inOrder(c.bottoms, bottomBuf[:0], cmpPair) {
 		bo := c.bottoms[key]
 		b := trace.BlockID(key[1])
-		bs := c.blocks[b]
-		if bs == nil || !bs.stores {
-			continue
+		if !c.blocks[b].stores {
+			continue // no store to the block: constraint 5(b) vacuous
 		}
-		first := orphan[b]
-		if first == nil {
+		// The constraint-3 check above left exactly one first store: the
+		// retired orphan or an active store without an incoming ST edge.
+		first := c.blocks[b].orphan
+		at, _ := slices.BinarySearchFunc(act, b, func(i int32, b trace.BlockID) int { return cmp.Compare(c.rec(i).op.Block, b) })
+		for _, i := range act[at:] {
+			if r := c.rec(i); r.op.Block != b {
+				break
+			} else if r.op.IsStore() && !r.stIn {
+				first = i
+			}
+		}
+		if first == 0 {
 			return dryReject(ConstraintInternal, nil, "internal: block B%d has stores but no first store", b)
 		}
-		if !bo.targets[first] {
-			return dryReject(Constraint5b, []trace.Op{bo.load.op}, "constraint 5b: ⊥-load %s has no forced edge to block B%d's first store", bo.load.op, b)
+		if !c.has(bo.load, first) {
+			load := c.rec(bo.load).op
+			return dryReject(Constraint5b, []trace.Op{load}, "constraint 5b: ⊥-load %s has no forced edge to block B%d's first store", load, b)
 		}
 	}
 	return nil
@@ -416,17 +393,15 @@ func inOrder[K comparable, V any](m map[K]V, buf []K, cmp func(a, b K) int) []K 
 
 func cmpID[T trace.ProcID | trace.BlockID](a, b T) int { return int(a - b) }
 
-// firstUndischarged returns the undischarged armed obligation whose carrier
-// load, then target store, is oldest, or nil when all are discharged.
-func (c *Checker) firstUndischarged() *oblig {
-	var first *oblig
-	for ob := range c.armed {
-		if ob.done {
-			continue
-		}
-		if first == nil || ob.load.seq < first.load.seq ||
-			ob.load.seq == first.load.seq && ob.target.seq < first.target.seq {
-			first = ob
+// firstUndischarged returns the armed obligation whose carrier load, then
+// target store, is oldest, or 0 when every obligation is discharged.
+func (c *Checker) firstUndischarged() int32 {
+	first := c.armed
+	for o := c.armed; o != 0; o = c.obligs.items[o].nextArmed {
+		ob, f := &c.obligs.items[o], &c.obligs.items[first]
+		ls, fs := c.rec(ob.load).seq, c.rec(f.load).seq
+		if ls < fs || ls == fs && c.rec(ob.target).seq < c.rec(f.target).seq {
+			first = o
 		}
 	}
 	return first

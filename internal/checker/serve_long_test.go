@@ -152,11 +152,17 @@ func checkCycleAgainstDecode(t *testing.T, d descriptor.Decoded, edges map[descr
 }
 
 // TestWitnessStepAllocBytes bounds what witness mode costs in allocation:
-// over the serve-long streams it may allocate at most 4× the bytes plain
-// mode does. Copying contraction chains that are already truncated, or
-// clearing provenance of absent edges, breaks the bound.
+// over the serve-long streams it may allocate at most 224 bytes per
+// symbol, 4× what plain mode allocated while the checker still held its
+// records as pointer graphs (plain mode now allocates about 1 byte per
+// symbol, so a ratio to it no longer bounds anything). Copying contraction
+// chains that are already truncated allocates ≈1.5 KB per symbol.
 func TestWitnessStepAllocBytes(t *testing.T) {
 	streams := serveLongStreams(t)
+	symbols := 0
+	for _, s := range streams {
+		symbols += len(s.syms)
+	}
 	stepBytes := func(witnessMode bool) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -172,10 +178,61 @@ func TestWitnessStepAllocBytes(t *testing.T) {
 		return after.TotalAlloc - before.TotalAlloc
 	}
 	plain, wit := stepBytes(false), stepBytes(true)
-	t.Logf("plain %d B, witness %d B (%.1f×)", plain, wit, float64(wit)/float64(plain))
-	if wit > 4*plain {
-		t.Errorf("witness-mode Step allocated %d B, more than 4× plain mode's %d B", wit, plain)
+	t.Logf("plain %d B, witness %d B (%.1f B/symbol)", plain, wit, float64(wit)/float64(symbols))
+	if wit > uint64(224*symbols) {
+		t.Errorf("witness-mode Step allocated %d B, more than 224 B per symbol over %d symbols", wit, symbols)
 	}
+}
+
+// TestStepAllocationFree pins that plain-mode Step, New included, makes no
+// steady-state allocation: records, obligations and lists live in arenas
+// that reuse reclaimed slots, and the per-processor and per-block maps
+// stay small.
+func TestStepAllocationFree(t *testing.T) {
+	streams := serveLongStreams(t)
+	symbols := 0
+	for _, s := range streams {
+		symbols += len(s.syms)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		for _, s := range streams {
+			chk := newServeLongChecker(s.k, false)
+			for _, sym := range s.syms {
+				if err := chk.Step(sym); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	})
+	t.Logf("%.0f allocations over %d symbols (%.4f per symbol)", allocs, symbols, allocs/float64(symbols))
+	if allocs > 0.01*float64(symbols) {
+		t.Errorf("plain Step made %.0f allocations over %d symbols, more than 0.01 per symbol", allocs, symbols)
+	}
+}
+
+// TestCloneAllocsBounded pins that Clone is a fixed number of slice and
+// map copies: at every 1024-symbol checkpoint of the serve-long streams in
+// plain mode it makes at most 24 allocations, however many records the
+// state holds.
+func TestCloneAllocsBounded(t *testing.T) {
+	worst := 0.0
+	for i, s := range serveLongStreams(t) {
+		chk := newServeLongChecker(s.k, false)
+		for j, sym := range s.syms {
+			if err := chk.Step(sym); err != nil {
+				t.Fatal(err)
+			}
+			if (j+1)%1024 != 0 {
+				continue
+			}
+			allocs := testing.AllocsPerRun(5, func() { _ = chk.Clone() })
+			worst = max(worst, allocs)
+			if allocs > 24 {
+				t.Fatalf("stream %d symbol %d: Clone made %.0f allocations, want at most 24", i, j+1, allocs)
+			}
+		}
+	}
+	t.Logf("at most %.0f allocations per Clone", worst)
 }
 
 // BenchmarkStep times Checker.Step per symbol over the serve-long streams,

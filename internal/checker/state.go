@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"cmp"
 	"encoding/binary"
 	"slices"
 
@@ -36,7 +37,7 @@ func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 	if c.rejected != nil {
 		return append(dst, 0xff)
 	}
-	var activeBuf, retiredBuf [64]*rec
+	var activeBuf, retiredBuf [64]int32
 	var minBuf [64]int
 	actives, minIDs, retired := activeBuf[:0], minBuf[:0], retiredBuf[:0]
 
@@ -45,11 +46,11 @@ func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 	// ordered by relative age.
 	for id := 1; id <= c.k+1; id++ {
 		r := c.owner[id]
-		if r == nil {
+		if r == 0 {
 			continue
 		}
 		m := mapID(rename, id)
-		if i := indexOf(actives, r); i < 0 {
+		if i := slices.Index(actives, r); i < 0 {
 			actives = append(actives, r)
 			minIDs = append(minIDs, m)
 		} else if m < minIDs[i] {
@@ -66,30 +67,39 @@ func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 	// in renamed (product) mode they appear solely as structural
 	// fingerprints at their reference sites.
 	if rename == nil {
-		for ob := range c.armed {
-			retired = addRetired(retired, actives, ob.store, ob.load, ob.target)
+		add := func(rs ...int32) {
+			for _, r := range rs {
+				if r != 0 && slices.Index(actives, r) < 0 && slices.Index(retired, r) < 0 {
+					retired = append(retired, r)
+				}
+			}
+		}
+		for o := c.armed; o != 0; o = c.obligs.items[o].nextArmed {
+			ob := &c.obligs.items[o]
+			add(ob.store, ob.load, ob.target)
 		}
 		for _, bo := range c.bottoms {
-			retired = addRetired(retired, actives, bo.load)
-			for t := range bo.targets {
-				retired = addRetired(retired, actives, t)
+			add(bo.load)
+			for l := bo.targets; l != 0; l = c.links.items[l].next {
+				add(c.links.items[l].rec)
 			}
 		}
 		for _, bs := range c.blocks {
-			retired = addRetired(retired, actives, bs.orphan)
+			add(bs.orphan)
 		}
-		for _, r := range actives {
-			for _, ob := range r.pending {
-				retired = addRetired(retired, actives, ob.load, ob.target)
+		for _, i := range actives {
+			r := c.rec(i)
+			for o := r.pending; o != 0; o = c.obligs.items[o].next {
+				add(c.obligs.items[o].load, c.obligs.items[o].target)
 			}
-			for t := range r.forcedTo {
-				retired = addRetired(retired, actives, t)
+			for l := r.forced; l != 0; l = c.links.items[l].next {
+				add(c.links.items[l].rec)
 			}
-			retired = addRetired(retired, actives, r.inhFrom, r.stSucc)
+			add(r.inhFrom, r.stSucc)
 		}
-		slices.SortFunc(retired, func(a, b *rec) int { return a.seq - b.seq })
+		slices.SortFunc(retired, func(a, b int32) int { return c.rec(a).seq - c.rec(b).seq })
 	}
-	n := canonNames{rename: rename, actives: actives, retired: retired}
+	n := canonNames{c: c, rename: rename, actives: actives, retired: retired}
 
 	key := c.cyc.AppendStateKeyRenamed(dst, rename)
 	key = append(key, 0xfe)
@@ -103,7 +113,7 @@ func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 	slots = slots[:c.k+2]
 	clear(slots)
 	for id := 1; id <= c.k+1; id++ {
-		if r := c.owner[id]; r != nil {
+		if r := c.owner[id]; r != 0 {
 			slots[mapID(rename, id)] = n.ref(r)
 		}
 	}
@@ -120,7 +130,7 @@ func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 		rank := 0
 		if rename == nil {
 			for _, o := range actives {
-				if o.seq < r.seq {
+				if c.rec(o).seq < c.rec(r).seq {
 					rank++
 				}
 			}
@@ -140,12 +150,9 @@ func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 	// Armed obligations.
 	var armBuf [32][5]int
 	arms := armBuf[:0]
-	for ob := range c.armed {
-		d := 0
-		if ob.done {
-			d = 1
-		}
-		arms = append(arms, [5]int{int(n.ref(ob.store)), int(ob.proc), int(n.ref(ob.load)), int(n.ref(ob.target)), d})
+	for o := c.armed; o != 0; o = c.obligs.items[o].nextArmed {
+		ob := &c.obligs.items[o]
+		arms = append(arms, [5]int{int(n.ref(ob.store)), int(ob.proc), int(n.ref(ob.load)), int(n.ref(ob.target)), 0})
 	}
 	slices.SortFunc(arms, func(a, b [5]int) int {
 		for i := range a {
@@ -214,9 +221,10 @@ func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 // active records by minimum renamed ID (canonical id = index+1), then, in
 // the adversarial key, retired records by age.
 type canonNames struct {
+	c       *Checker
 	rename  []int
-	actives []*rec
-	retired []*rec
+	actives []int32
+	retired []int32
 }
 
 func mapID(rename []int, id int) int {
@@ -226,25 +234,15 @@ func mapID(rename []int, id int) int {
 	return rename[id]
 }
 
-// addRetired appends each non-nil record not yet numbered.
-func addRetired(retired, actives []*rec, rs ...*rec) []*rec {
-	for _, r := range rs {
-		if r != nil && indexOf(actives, r) < 0 && indexOf(retired, r) < 0 {
-			retired = append(retired, r)
-		}
-	}
-	return retired
-}
-
 // ref names a referenced record: its canonical id, or in renamed (product)
 // mode a structural signature for a retired record, whose identity can no
 // longer influence acceptance of observer-generated futures — only its
 // shape can (see StateKeyRenamed). Unnumbered records are 0.
-func (n *canonNames) ref(r *rec) uint64 {
-	if r == nil {
+func (n *canonNames) ref(i int32) uint64 {
+	if i == 0 {
 		return 0
 	}
-	if n.rename != nil && !r.active {
+	if r := n.c.rec(i); n.rename != nil && !r.active {
 		f := uint64(1) << 40
 		f |= uint64(r.op.Kind) << 36
 		f |= uint64(r.op.Proc) << 28
@@ -255,16 +253,17 @@ func (n *canonNames) ref(r *rec) uint64 {
 		}
 		return f
 	}
-	if i := indexOf(n.actives, r); i >= 0 {
-		return uint64(i + 1)
+	if j := slices.Index(n.actives, i); j >= 0 {
+		return uint64(j + 1)
 	}
-	if i := indexOf(n.retired, r); i >= 0 {
-		return uint64(len(n.actives) + i + 1)
+	if j := slices.Index(n.retired, i); j >= 0 {
+		return uint64(len(n.actives) + j + 1)
 	}
 	return 0
 }
 
-func (n *canonNames) appendRec(key []byte, r *rec, withSeqRank bool, rank int) []byte {
+func (n *canonNames) appendRec(key []byte, i int32, withSeqRank bool, rank int) []byte {
+	r := n.c.rec(i)
 	flags := uint64(0)
 	for i, b := range [...]bool{r.active, r.poIn, r.poOut, r.stIn, r.stOut, r.inhIn} {
 		flags |= b2u(b) << i
@@ -276,34 +275,28 @@ func (n *canonNames) appendRec(key []byte, r *rec, withSeqRank bool, rank int) [
 		key = binary.AppendUvarint(key, uint64(rank))
 	}
 	// Pending obligation slots, sorted by processor.
-	var procBuf [16]int
-	procs := procBuf[:0]
-	if len(r.pending) > 0 {
-		for p := range r.pending {
-			procs = append(procs, int(p))
-		}
+	var slotBuf [16]oblig
+	slots := slotBuf[:0]
+	for o := r.pending; o != 0; o = n.c.obligs.items[o].next {
+		slots = append(slots, n.c.obligs.items[o])
 	}
-	slices.Sort(procs)
-	key = binary.AppendUvarint(key, uint64(len(procs)))
-	for _, p := range procs {
-		ob := r.pending[trace.ProcID(p)]
-		for _, v := range [...]uint64{uint64(p), n.ref(ob.load), n.ref(ob.target), b2u(ob.done)} {
+	slices.SortFunc(slots, func(a, b oblig) int { return cmp.Compare(a.proc, b.proc) })
+	key = binary.AppendUvarint(key, uint64(len(slots)))
+	for _, ob := range slots {
+		for _, v := range [...]uint64{uint64(ob.proc), n.ref(ob.load), n.ref(ob.target), b2u(ob.done)} {
 			key = binary.AppendUvarint(key, v)
 		}
 	}
 	// Forced-edge targets, sorted by canonical id.
-	return n.appendTargets(key, r.forcedTo)
+	return n.appendTargets(key, r.forced)
 }
 
-// appendTargets writes a forced-edge target set as its sorted canonical
-// ids.
-func (n *canonNames) appendTargets(key []byte, targets map[*rec]bool) []byte {
+// appendTargets writes a record list as its sorted canonical ids.
+func (n *canonNames) appendTargets(key []byte, head int32) []byte {
 	var tsBuf [16]int
 	ts := tsBuf[:0]
-	if len(targets) > 0 {
-		for t := range targets {
-			ts = append(ts, int(n.ref(t)))
-		}
+	for l := head; l != 0; l = n.c.links.items[l].next {
+		ts = append(ts, int(n.ref(n.c.links.items[l].rec)))
 	}
 	slices.Sort(ts)
 	key = binary.AppendUvarint(key, uint64(len(ts)))
@@ -318,15 +311,6 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-func indexOf(rs []*rec, r *rec) int {
-	for i, x := range rs {
-		if x == r {
-			return i
-		}
-	}
-	return -1
 }
 
 func cmpPair(a, b [2]int) int {

@@ -8,8 +8,8 @@
 //
 // The representation is deliberately flat — an ID-to-slot table and a
 // dense adjacency matrix over at most k+2 slots — because the model
-// checker clones the automaton at every branch of the product-state
-// exploration: Clone is three slice copies.
+// checker copies the automaton at every branch of the product-state
+// exploration: a copy is three slice copies.
 package cycle
 
 import (
@@ -86,30 +86,11 @@ func (c *Checker) Active() int {
 	return n
 }
 
-// Clone returns a deep copy of the checker; stepping the copy never
-// affects the original.
+// Clone returns a deep copy of the checker; stepping either never affects
+// the other.
 func (c *Checker) Clone() *Checker {
-	out := &Checker{
-		k: c.k, n: c.n,
-		owner:    append([]int16(nil), c.owner...),
-		idCount:  append([]int16(nil), c.idCount...),
-		adj:      append([]bool(nil), c.adj...),
-		witness:  c.witness,
-		seq:      c.seq,
-		rejected: c.rejected,
-		stats:    c.stats,
-	}
-	if c.witness {
-		out.refs = append([]NodeRef(nil), c.refs...)
-		out.lab = append([]uint8(nil), c.lab...)
-		out.via = make(map[int32][]Hop, len(c.via))
-		for k, v := range c.via {
-			// Chains are never modified once stored (noteContraction
-			// builds a new one or stores an existing truncated one as
-			// is), so sharing the slices is safe.
-			out.via[k] = v
-		}
-	}
+	out := new(Checker)
+	out.CopyFrom(c)
 	return out
 }
 
@@ -117,7 +98,9 @@ func (c *Checker) Clone() *Checker {
 // witness map: the model checker's per-worker scratch copies each parent
 // state in before stepping it, so successors that turn out to be
 // duplicates cost no allocation. Witness buffers of a non-witness copy
-// are kept for reuse but never read.
+// are kept for reuse but never read. Contraction chains are never
+// modified once stored (noteContraction builds a new one or stores an
+// existing truncated one as is), so copies share them.
 func (c *Checker) CopyFrom(src *Checker) {
 	c.k, c.n = src.k, src.n
 	c.owner = append(c.owner[:0], src.owner...)
@@ -137,7 +120,7 @@ func (c *Checker) CopyFrom(src *Checker) {
 	}
 	clear(c.via)
 	for k, v := range src.via {
-		c.via[k] = v // chains are immutable; see Clone
+		c.via[k] = v
 	}
 }
 

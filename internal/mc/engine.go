@@ -50,7 +50,6 @@ type Explorer struct {
 	shardHashes []uint64 // nil for single-shard: everything is local
 	visited     visitedSet
 	obsVisited  visitedSet // TrackObserverStates only
-	k           int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -231,7 +230,6 @@ func NewExplorer(p protocol.Protocol, po ProductOptions, cfg ExplorerConfig) (*E
 	if cfg.TrackObserverStates {
 		x.obsVisited = newExactVisited(false)
 	}
-	x.k = NewProduct(p, po).Obs.K()
 	x.cond = sync.NewCond(&x.mu)
 	for i := 0; i < cfg.Workers; i++ {
 		x.wg.Add(1)
@@ -239,10 +237,6 @@ func NewExplorer(p protocol.Protocol, po ProductOptions, cfg ExplorerConfig) (*E
 	}
 	return x, nil
 }
-
-// K is the checker bandwidth bound of the product this engine explores —
-// the value a distributed hello must agree on.
-func (x *Explorer) K() int { return x.k }
 
 // Seed enqueues the initial product state. In a grid, only the
 // coordinator seeds (one work item routed to shard 0); locally, Verify

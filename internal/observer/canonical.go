@@ -1,11 +1,5 @@
 package observer
 
-import (
-	"slices"
-
-	"scverify/internal/trace"
-)
-
 // appendRoles appends the node handles the generator holds, in a fixed
 // role order, so the canonical renaming is history-independent. Other
 // generators hold no roles the renaming can see.
@@ -43,60 +37,43 @@ func (o *Observer) AppendCanonicalRename(dst []int) []int {
 	}
 	pi := dst[start:]
 	next := 1
-	var queueBuf [64]*onode
+	var queueBuf [64]int32
 	queue := queueBuf[:0]
-	name := func(n *onode) {
-		if n == nil || pi[n.id] != 0 {
+	name := func(id int32) {
+		if id == 0 || pi[id] != 0 {
 			return
 		}
-		pi[n.id] = next
+		pi[id] = next
 		next++
-		queue = append(queue, n)
+		queue = append(queue, id)
 	}
 
-	for _, n := range o.locToNode[1:] {
-		name(n)
+	for _, id := range o.locToNode[1:] {
+		name(id)
 	}
-	var idBuf [16]int
-	procs := idBuf[:0]
-	for p := range o.lastOp {
-		procs = append(procs, int(p))
+	for _, id := range o.lastOp {
+		name(id)
 	}
-	slices.Sort(procs)
-	for _, p := range procs {
-		name(o.lastOp[trace.ProcID(p)])
+	for _, id := range o.firstSt {
+		name(id)
 	}
-	blocks := idBuf[:0]
-	for b := range o.firstSt {
-		blocks = append(blocks, int(b))
-	}
-	slices.Sort(blocks)
-	for _, b := range blocks {
-		name(o.firstSt[trace.BlockID(b)])
-	}
-	var bkeyBuf [16][2]int
-	for _, k := range o.sortedBottoms(bkeyBuf[:0]) {
-		name(o.bottoms[k])
+	for _, id := range o.bottoms {
+		name(id)
 	}
 	var roleBuf [16]NodeHandle
 	for _, h := range o.appendRoles(roleBuf[:0]) {
-		if n, ok := o.nodes[h]; ok {
-			name(n)
-		}
+		name(o.byHandle(h))
 	}
-	// Breadth-first closure over structural references.
+	// Breadth-first closure over structural references: live successors
+	// (a released one's ID may already name another node) and pending
+	// loads.
 	for i := 0; i < len(queue); i++ {
-		n := queue[i]
-		name(n.stSucc)
-		ps := idBuf[:0]
-		if len(n.pending) > 0 {
-			for p := range n.pending {
-				ps = append(ps, int(p))
-			}
+		n := &o.nodes[queue[i]]
+		if s := &o.nodes[n.succ]; n.ordered && s.live && s.h == n.succH {
+			name(n.succ)
 		}
-		slices.Sort(ps)
-		for _, p := range ps {
-			name(n.pending[trace.ProcID(p)])
+		for _, l := range o.pendingOf(queue[i]) {
+			name(l)
 		}
 	}
 	// Free IDs in pop order (top of stack allocates first).
@@ -117,21 +94,4 @@ func (o *Observer) AppendCanonicalRename(dst []int) []int {
 	}
 	pi[o.poolSize+1] = o.poolSize + 1
 	return dst
-}
-
-// sortedBottoms appends the pending ⊥-load keys in (processor, block)
-// order.
-func (o *Observer) sortedBottoms(dst [][2]int) [][2]int {
-	for k := range o.bottoms {
-		dst = append(dst, k)
-	}
-	slices.SortFunc(dst, cmpPair)
-	return dst
-}
-
-func cmpPair(a, b [2]int) int {
-	if a[0] != b[0] {
-		return a[0] - b[0]
-	}
-	return a[1] - b[1]
 }

@@ -1,10 +1,9 @@
 package observer
 
 import (
+	"cmp"
 	"encoding/binary"
 	"slices"
-
-	"scverify/internal/trace"
 )
 
 // StateKey returns a canonical encoding of the observer's state. Nodes are
@@ -31,36 +30,48 @@ func (o *Observer) AppendCanonicalKey(dst []byte, rename []int) []byte {
 	if o.err != nil {
 		return append(dst, 0xff)
 	}
-	mapID := func(id int) int {
+	mapID := func(id int32) uint64 {
 		if rename == nil {
-			return id
+			return uint64(id)
 		}
-		return rename[id]
+		return uint64(rename[id])
 	}
 	key := dst
 	put := func(v uint64) { key = binary.AppendUvarint(key, v) }
-	idOf := func(n *onode) uint64 {
-		if n == nil {
+	idOf := func(id int32) uint64 {
+		if id == 0 {
 			return 0
 		}
-		return uint64(mapID(n.id))
+		return mapID(id)
+	}
+	// count writes how many entries of ids are set.
+	count := func(ids []int32) {
+		n := 0
+		for _, id := range ids {
+			if id != 0 {
+				n++
+			}
+		}
+		put(uint64(n))
 	}
 
 	// Location map.
-	for _, n := range o.locToNode[1:] {
-		put(idOf(n))
+	for _, id := range o.locToNode[1:] {
+		put(idOf(id))
 	}
 
 	// Live nodes sorted by (renamed) ID.
-	var liveBuf [64]*onode
+	var liveBuf [64]int32
 	live := liveBuf[:0]
-	for _, n := range o.nodes {
-		live = append(live, n)
+	for id := 1; id <= o.poolSize; id++ {
+		if o.nodes[id].live {
+			live = append(live, int32(id))
+		}
 	}
-	slices.SortFunc(live, func(a, b *onode) int { return mapID(a.id) - mapID(b.id) })
+	slices.SortFunc(live, func(a, b int32) int { return cmp.Compare(mapID(a), mapID(b)) })
 	put(uint64(len(live)))
-	var idBuf [16]int
-	for _, n := range live {
+	for _, id := range live {
+		n := &o.nodes[id]
 		flags := uint64(0)
 		if n.stIn {
 			flags |= 1
@@ -68,7 +79,7 @@ func (o *Observer) AppendCanonicalKey(dst []byte, rename []int) []byte {
 		if n.succPinned {
 			flags |= 2
 		}
-		put(uint64(mapID(n.id)))
+		put(mapID(id))
 		put(uint64(n.op.Kind))
 		put(uint64(n.op.Proc))
 		put(uint64(n.op.Block))
@@ -76,77 +87,61 @@ func (o *Observer) AppendCanonicalKey(dst []byte, rename []int) []byte {
 		put(flags)
 		put(uint64(n.locRefs))
 		put(uint64(n.pins))
-		// A store's successor pointer only influences future emissions while
-		// the store is inh-active (succPinned); after that only the fact
-		// that the store has been ordered matters, so a stale pointer to a
-		// released successor must not leak into the key.
-		ordered := uint64(0)
-		succ := uint64(0)
-		if n.stSucc != nil {
+		// A store's successor only influences future emissions while the
+		// store is inh-active (succPinned); after that only the fact that
+		// the store has been ordered matters, so a released successor must
+		// not leak into the key.
+		ordered, succ := uint64(0), uint64(0)
+		if n.ordered {
 			ordered = 1
 			if n.succPinned {
-				succ = idOf(n.stSucc)
+				succ = idOf(n.succ)
 			}
 		}
 		put(ordered)
 		put(succ)
-		procs := idBuf[:0]
-		if len(n.pending) > 0 {
-			for p := range n.pending {
-				procs = append(procs, int(p))
+		pending := o.pendingOf(id)
+		count(pending)
+		for p, l := range pending {
+			if l != 0 {
+				put(uint64(p + 1))
+				put(idOf(l))
 			}
-		}
-		slices.Sort(procs)
-		put(uint64(len(procs)))
-		for _, p := range procs {
-			put(uint64(p))
-			put(idOf(n.pending[trace.ProcID(p)]))
 		}
 	}
 
 	// Program-order tails.
-	procs := idBuf[:0]
-	for p := range o.lastOp {
-		procs = append(procs, int(p))
-	}
-	slices.Sort(procs)
-	put(uint64(len(procs)))
-	for _, p := range procs {
-		put(uint64(p))
-		put(idOf(o.lastOp[trace.ProcID(p)]))
+	count(o.lastOp)
+	for p, id := range o.lastOp {
+		if id != 0 {
+			put(uint64(p + 1))
+			put(idOf(id))
+		}
 	}
 
 	// First stores.
-	blocks := idBuf[:0]
-	for b := range o.firstSt {
-		blocks = append(blocks, int(b))
-	}
-	slices.Sort(blocks)
-	put(uint64(len(blocks)))
-	for _, b := range blocks {
-		put(uint64(b))
-		put(idOf(o.firstSt[trace.BlockID(b)]))
+	count(o.firstSt)
+	for b, id := range o.firstSt {
+		if id != 0 {
+			put(uint64(b + 1))
+			put(idOf(id))
+		}
 	}
 
-	// Pending ⊥-loads.
-	var bkeyBuf [16][2]int
-	bkeys := o.sortedBottoms(bkeyBuf[:0])
-	put(uint64(len(bkeys)))
-	for _, k := range bkeys {
-		put(uint64(k[0]))
-		put(uint64(k[1]))
-		put(idOf(o.bottoms[k]))
+	// Pending ⊥-loads, in (processor, block) order.
+	count(o.bottoms)
+	for i, id := range o.bottoms {
+		if id != 0 {
+			put(uint64(i/o.blocks + 1))
+			put(uint64(i%o.blocks + 1))
+			put(idOf(id))
+		}
 	}
 
 	// Generator state, with the built-in generators' handles resolved to
 	// descriptor IDs; other generators encode their own raw state.
 	key = append(key, 0xfe)
-	resolve := func(h NodeHandle) int {
-		if n, ok := o.nodes[h]; ok {
-			return mapID(n.id)
-		}
-		return 0
-	}
+	resolve := func(h NodeHandle) int { return int(idOf(o.byHandle(h))) }
 	switch g := o.gen.(type) {
 	case *RealTime:
 		key = g.AppendStateKeyResolved(key, resolve)

@@ -2,7 +2,6 @@ package observer
 
 import (
 	"fmt"
-	"slices"
 
 	"scverify/internal/descriptor"
 	"scverify/internal/protocol"
@@ -48,13 +47,13 @@ func (o *Observer) applyCopies(copies []protocol.Copy) {
 	if len(copies) == 0 {
 		return
 	}
-	var preBuf [32]*onode
+	var preBuf [32]int32
 	pre := append(preBuf[:0], o.locToNode...)
 	for _, cp := range copies {
 		if cp.Dst == cp.Src {
 			continue
 		}
-		var src *onode
+		var src int32
 		if cp.Src != 0 {
 			src = pre[cp.Src]
 		}
@@ -63,10 +62,10 @@ func (o *Observer) applyCopies(copies []protocol.Copy) {
 			continue
 		}
 		o.locToNode[cp.Dst] = src
-		if src != nil {
-			src.locRefs++
+		if src != 0 {
+			o.nodes[src].locRefs++
 		}
-		if old != nil {
+		if old != 0 {
 			o.decLocRef(old)
 		}
 	}
@@ -79,20 +78,20 @@ func (o *Observer) stepStore(t protocol.Transition) error {
 	op := *t.Action.Op
 	o.stats.Ops++
 	o.traceLen++
-	n, err := o.newNode(op)
+	id, err := o.newNode(op)
 	if err != nil {
 		return err
 	}
-	if err := o.emitProgramOrder(n); err != nil {
+	if err := o.emitProgramOrder(id); err != nil {
 		return err
 	}
 	if t.Loc < 1 || t.Loc > len(o.locToNode)-1 {
 		return o.fail(fmt.Errorf("observer: store %s has tracking label %d outside 1..%d", op, t.Loc, len(o.locToNode)-1))
 	}
 	old := o.locToNode[t.Loc]
-	o.locToNode[t.Loc] = n
-	n.locRefs++
-	if old != nil {
+	o.locToNode[t.Loc] = id
+	o.nodes[id].locRefs++
+	if old != 0 {
 		o.decLocRef(old)
 	}
 	// Copies attached to a store read the post-operation map: a write-
@@ -101,8 +100,8 @@ func (o *Observer) stepStore(t protocol.Transition) error {
 	o.applyCopies(t.Copies)
 	// The generator must eventually order this store; keep it addressable
 	// until its outgoing ST-order edge is emitted.
-	o.pin(n)
-	return o.applyUpdate(o.gen.OnStore(n.h, op))
+	o.pin(id)
+	return o.applyUpdate(o.gen.OnStore(o.nodes[id].h, op))
 }
 
 // stepLoad adds the load node, its program-order edge, and its inheritance
@@ -112,11 +111,11 @@ func (o *Observer) stepLoad(t protocol.Transition) error {
 	op := *t.Action.Op
 	o.stats.Ops++
 	o.traceLen++
-	n, err := o.newNode(op)
+	id, err := o.newNode(op)
 	if err != nil {
 		return err
 	}
-	if err := o.emitProgramOrder(n); err != nil {
+	if err := o.emitProgramOrder(id); err != nil {
 		return err
 	}
 	if t.Loc < 1 || t.Loc > len(o.locToNode)-1 {
@@ -125,53 +124,56 @@ func (o *Observer) stepLoad(t protocol.Transition) error {
 	src := o.locToNode[t.Loc]
 
 	if op.Value == trace.Bottom {
-		if src != nil {
-			return o.fail(fmt.Errorf("observer: %s read location %d which holds %s (tracking labels inconsistent)", op, t.Loc, src.op))
+		if src != 0 {
+			return o.fail(fmt.Errorf("observer: %s read location %d which holds %s (tracking labels inconsistent)", op, t.Loc, o.nodes[src].op))
 		}
-		if first, known := o.firstSt[op.Block]; known {
-			return o.send(descriptor.Edge{From: n.id, To: first.id, Label: descriptor.Forced})
+		if first := o.firstSt[op.Block-1]; first != 0 {
+			return o.send(descriptor.Edge{From: int(id), To: int(first), Label: descriptor.Forced})
 		}
-		key := [2]int{int(op.Proc), int(op.Block)}
-		if prev, ok := o.bottoms[key]; ok {
+		slot := &o.bottoms[o.bottomSlot(op)]
+		if prev := *slot; prev != 0 {
 			o.unpin(prev)
 		}
-		o.bottoms[key] = n
-		o.pin(n)
+		*slot = id
+		o.pin(id)
 		return nil
 	}
 
-	if src == nil {
+	if src == 0 {
 		return o.fail(fmt.Errorf("observer: %s read location %d which holds no store's value (tracking labels inconsistent)", op, t.Loc))
 	}
-	if src.op.Block != op.Block || src.op.Value != op.Value {
-		return o.fail(fmt.Errorf("observer: %s read location %d which holds %s (tracking labels inconsistent)", op, t.Loc, src.op))
+	s := &o.nodes[src]
+	if s.op.Block != op.Block || s.op.Value != op.Value {
+		return o.fail(fmt.Errorf("observer: %s read location %d which holds %s (tracking labels inconsistent)", op, t.Loc, s.op))
 	}
-	if err := o.send(descriptor.Edge{From: src.id, To: n.id, Label: descriptor.Inh}); err != nil {
+	if err := o.send(descriptor.Edge{From: int(src), To: int(id), Label: descriptor.Inh}); err != nil {
 		return err
 	}
-	if src.stSucc != nil {
+	if s.ordered {
 		// The inherited-from store is already ordered: the forced edge is
 		// determined now and the load carries no pending obligation.
-		return o.send(descriptor.Edge{From: n.id, To: src.stSucc.id, Label: descriptor.Forced})
+		return o.send(descriptor.Edge{From: int(id), To: int(s.succ), Label: descriptor.Forced})
 	}
-	if prev, ok := src.pending[op.Proc]; ok {
+	slot := &o.pendingOf(src)[op.Proc-1]
+	if prev := *slot; prev != 0 {
 		o.unpin(prev)
 	}
-	src.pending[op.Proc] = n
-	o.pin(n)
+	*slot = id
+	o.pin(id)
 	return nil
 }
 
 // emitProgramOrder links the node to its processor's previous operation.
-func (o *Observer) emitProgramOrder(n *onode) error {
-	if prev, ok := o.lastOp[n.op.Proc]; ok {
-		if err := o.send(descriptor.Edge{From: prev.id, To: n.id, Label: descriptor.PO}); err != nil {
+func (o *Observer) emitProgramOrder(id int32) error {
+	last := &o.lastOp[o.nodes[id].op.Proc-1]
+	if prev := *last; prev != 0 {
+		if err := o.send(descriptor.Edge{From: int(prev), To: int(id), Label: descriptor.PO}); err != nil {
 			return err
 		}
 		o.unpin(prev)
 	}
-	o.lastOp[n.op.Proc] = n
-	o.pin(n)
+	*last = id
+	o.pin(id)
 	return nil
 }
 
@@ -180,67 +182,63 @@ func (o *Observer) emitProgramOrder(n *onode) error {
 // and the forced edges owed by pending ⊥-loads.
 func (o *Observer) applyUpdate(u Update) error {
 	for _, e := range u.Edges {
-		from, okF := o.nodes[e.From]
-		to, okT := o.nodes[e.To]
-		if !okF || !okT {
+		from, to := o.byHandle(e.From), o.byHandle(e.To)
+		if from == 0 || to == 0 {
 			return o.fail(fmt.Errorf("observer: ST-order generator referenced a retired node (%d→%d)", e.From, e.To))
 		}
-		if from.stSucc != nil {
-			return o.fail(fmt.Errorf("observer: ST-order generator ordered %s twice", from.op))
+		f := &o.nodes[from]
+		if f.ordered {
+			return o.fail(fmt.Errorf("observer: ST-order generator ordered %s twice", f.op))
 		}
-		if err := o.send(descriptor.Edge{From: from.id, To: to.id, Label: descriptor.STo}); err != nil {
+		if err := o.send(descriptor.Edge{From: int(from), To: int(to), Label: descriptor.STo}); err != nil {
 			return err
 		}
-		from.stSucc = to
-		to.stIn = true
+		f.ordered, f.succ, f.succH = true, to, e.To
+		o.nodes[to].stIn = true
 		// Late inheritors of `from` (possible while its value still sits in
 		// some location) will need forced edges to `to`: keep `to`
 		// addressable while `from` is inh-active.
-		if from.locRefs > 0 {
-			from.succPinned = true
+		if f.locRefs > 0 {
+			f.succPinned = true
 			o.pin(to)
 		}
 		// Pending inheritors owe their forced edges now, emitted in
 		// processor order so the stream is a deterministic function of the
 		// run.
-		var procBuf [16]int
-		procs := procBuf[:0]
-		for p := range from.pending {
-			procs = append(procs, int(p))
-		}
-		slices.Sort(procs)
-		for _, p := range procs {
-			load := from.pending[trace.ProcID(p)]
-			if err := o.send(descriptor.Edge{From: load.id, To: to.id, Label: descriptor.Forced}); err != nil {
+		for _, slot := range o.pendingOf(from) {
+			if slot == 0 {
+				continue
+			}
+			if err := o.send(descriptor.Edge{From: int(slot), To: int(to), Label: descriptor.Forced}); err != nil {
 				return err
 			}
-			o.unpin(load)
-			delete(from.pending, trace.ProcID(p))
+			o.unpin(slot)
 		}
+		clear(o.pendingOf(from))
 		// The store is ordered: release the generator's pin.
 		o.unpin(from)
 	}
-	for _, f := range u.Firsts {
-		n, ok := o.nodes[f.Node]
-		if !ok {
-			return o.fail(fmt.Errorf("observer: first store of block B%d is a retired node", f.Block))
+	for _, fs := range u.Firsts {
+		id := o.byHandle(fs.Node)
+		if id == 0 {
+			return o.fail(fmt.Errorf("observer: first store of block B%d is a retired node", fs.Block))
 		}
-		if _, dup := o.firstSt[f.Block]; dup {
-			return o.fail(fmt.Errorf("observer: first store of block B%d reported twice", f.Block))
+		first := &o.firstSt[fs.Block-1]
+		if *first != 0 {
+			return o.fail(fmt.Errorf("observer: first store of block B%d reported twice", fs.Block))
 		}
-		o.firstSt[f.Block] = n
-		o.pin(n) // late ⊥-loads may still need a forced edge to it
-		var keyBuf [16][2]int
-		for _, key := range o.sortedBottoms(keyBuf[:0]) {
-			if trace.BlockID(key[1]) != f.Block {
+		*first = id
+		o.pin(id) // late ⊥-loads may still need a forced edge to it
+		for p := 1; p <= o.procs; p++ {
+			slot := &o.bottoms[o.bottomSlot(trace.Op{Proc: trace.ProcID(p), Block: fs.Block})]
+			if *slot == 0 {
 				continue
 			}
-			load := o.bottoms[key]
-			if err := o.send(descriptor.Edge{From: load.id, To: n.id, Label: descriptor.Forced}); err != nil {
+			if err := o.send(descriptor.Edge{From: int(*slot), To: int(id), Label: descriptor.Forced}); err != nil {
 				return err
 			}
-			o.unpin(load)
-			delete(o.bottoms, key)
+			o.unpin(*slot)
+			*slot = 0
 		}
 	}
 	return nil

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"scverify/internal/mc"
+	"scverify/internal/observer"
 	"scverify/internal/registry"
 )
 
@@ -47,9 +48,24 @@ func (s *Server) runExploreSession(conn net.Conn, br *bufio.Reader, bw *bufio.Wr
 		return false
 	}
 
+	// The engine sizes its observer and checker by the target's pool,
+	// which grows with p·b and the queue capacity, so both are checked
+	// against the hello's k (bounded by MaxK) before anything is built.
+	// Every target's pool exceeds p and b, so a larger p or b could never
+	// match k.
+	if h.Params.Procs > h.K || h.Params.Blocks > h.K {
+		return fail(fmt.Sprintf("explore: hello p=%d b=%d exceed its k=%d", h.Params.Procs, h.Params.Blocks, h.K))
+	}
 	target, err := registry.Build(eh.Protocol, registry.Options{Params: h.Params, QueueCap: eh.QueueCap})
 	if err != nil {
 		return fail("explore: " + err.Error())
+	}
+	pool := target.PoolSize
+	if pool == 0 {
+		pool = observer.DefaultPoolSize(target.Protocol)
+	}
+	if pool != h.K {
+		return fail(fmt.Sprintf("explore: hello k=%d but target %q has k=%d", h.K, eh.Protocol, pool))
 	}
 
 	maxStates := eh.MaxStates
@@ -118,11 +134,6 @@ func (s *Server) runExploreSession(conn net.Conn, br *bufio.Reader, bw *bufio.Wr
 		return fail("explore: " + err.Error())
 	}
 	defer x.Stop()
-
-	if x.K() != h.K {
-		x.Stop()
-		return fail(fmt.Sprintf("explore: hello k=%d but target %q has k=%d", h.K, eh.Protocol, x.K()))
-	}
 
 	// The first report doubles as the ready signal: the coordinator seeds
 	// shard 0 only after every shard has one.

@@ -361,6 +361,14 @@ func FuzzServerConn(f *testing.F) {
 		return buf.Bytes()
 	}
 	f.Add(drainCycle())
+	// An explore hello whose target pool (L + p·b + p + 2b + 2) is far
+	// above its k: it must be refused before any engine is built.
+	var explore bytes.Buffer
+	ebw := bufio.NewWriter(&explore)
+	writeFrame(ebw, frameHello, appendHello(nil, Header{K: 8, Params: trace.Params{Procs: 65536, Blocks: 1, Values: 1},
+		Explore: &ExploreHeader{Protocol: "serial", Shards: []string{"a"}}}))
+	ebw.Flush()
+	f.Add(explore.Bytes())
 	f.Add([]byte{frameDrain, 0x00})             // empty drain payload
 	f.Add([]byte{frameDrain, 0x01, 0x07})       // out-of-range drain mode
 	f.Add([]byte{frameDrain, 0x02, 0x01, 0x99}) // trailing bytes after mode
@@ -393,6 +401,56 @@ func FuzzServerConn(f *testing.F) {
 		srv.wg.Wait()
 		<-drained
 	})
+}
+
+// TestExploreHelloParamsBounded sends explore hellos whose p, b or queue
+// capacity make the target's observer pool, and with it the engine's
+// (k+2)² adjacency, far larger than the hello's k. Each must get a
+// protocol-error verdict without the server allocating for that pool, and
+// the server must go on accepting sessions.
+func TestExploreHelloParamsBounded(t *testing.T) {
+	_, addr := startServer(t, Config{ExploreWorkers: 1})
+	for _, row := range []struct {
+		protocol string
+		params   trace.Params
+		queueCap int
+	}{
+		{"serial", trace.Params{Procs: 65536, Blocks: 1, Values: 1}, 0},
+		{"lazy", trace.Params{Procs: 2, Blocks: 1, Values: 1}, 1 << 20},
+		{"directory", trace.Params{Procs: 1 << 31, Blocks: 1 << 31, Values: 1}, 0},
+	} {
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bw := bufio.NewWriter(conn)
+		writeFrame(bw, frameHello, appendHello(nil, Header{K: 8, Params: row.params,
+			Explore: &ExploreHeader{Protocol: row.protocol, QueueCap: row.queueCap, Shards: []string{"a"}}}))
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := readFrame(bufio.NewReader(conn), 1<<20)
+		runtime.ReadMemStats(&after)
+		conn.Close()
+		if err != nil || typ != frameVerdict {
+			t.Fatalf("%s %v: frame %#x, %v; want a verdict", row.protocol, row.params, typ, err)
+		}
+		v, err := parseVerdict(payload)
+		if err != nil || v.Code != VerdictProtocolError {
+			t.Errorf("%s %v: verdict %+v (%v), want a protocol error", row.protocol, row.params, v, err)
+		}
+		t.Logf("%s %v: %s", row.protocol, row.params, v.Msg)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Errorf("%s %v: hello allocated %d MiB", row.protocol, row.params, grew>>20)
+		}
+		c := dialT(t, addr)
+		if v, err := c.Check(SyntheticHeader(), SyntheticAccept(9)); err != nil || v.Code != VerdictAccept {
+			t.Fatalf("%s %v: following session: %+v, %v; want accept", row.protocol, row.params, v, err)
+		}
+	}
 }
 
 // TestTierHugeIDsBoundedAlloc pins the fix for a FuzzServerConn find (its
