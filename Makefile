@@ -64,11 +64,14 @@ lint:
 # Regenerate goldens with: go test ./internal/witness -run Golden -update
 # Then the cycle checker's own witness output: the hashed cycles of long
 # directory streams, checked hop by hop against descriptor.Decode, and the
-# truncation of chains longer than the per-edge cap.
+# truncation of chains longer than the per-edge cap. Last, the hashed
+# observer output (symbols, keys, Finish) of every registry target, which
+# pins both ST-order serialization modes, and the queue-mode Finish order.
 witness:
 	$(GO) test -run='TestGoldenExplanations|TestMinimizedWitnessProperties' -count=1 ./internal/witness
 	$(GO) test -run='TestWitnessCorpusGolden' -count=1 ./internal/checker
 	$(GO) test -run='TestWitnessTruncatesLongChains' -count=1 ./internal/cycle
+	$(GO) test -run='TestObserverStreamsGolden|TestQueueFinishEmitsEdgesFirst' -count=1 ./internal/observer
 
 # fuzz-burst: a short CI-budget run of each fuzz target; regressions in
 # the corpus replay in normal `go test`, this additionally explores.

@@ -315,7 +315,7 @@ func BenchmarkObserverSymbolRate(b *testing.B) {
 	b.ResetTimer()
 	var symbols int
 	for i := 0; i < b.N; i++ {
-		stream, _, err := observer.ObserveRun(run, tgt.Generator(), observer.Config{PoolSize: tgt.PoolSize})
+		stream, _, err := observer.ObserveRun(run, tgt.Generator, observer.Config{PoolSize: tgt.PoolSize})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,10 +351,8 @@ func BenchmarkStateKey(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	chk := checker.New(0)
-	obs := observer.New(tgt.Protocol, tgt.Generator(), observer.Config{}, nil)
-	chk = checker.New(obs.K())
-	obs = observer.New(tgt.Protocol, tgt.Generator(), observer.Config{}, chk.Step)
+	chk := checker.New(tgt.K())
+	obs := observer.New(tgt.Protocol, tgt.Generator, observer.Config{PoolSize: tgt.PoolSize}, chk.Step)
 	run := protocol.RandomRun(tgt.Protocol, 40, 43)
 	for _, step := range run.Steps {
 		if err := obs.Step(step.Transition); err != nil {

@@ -20,7 +20,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -104,8 +103,7 @@ func main() {
 		probeInterval = flag.Duration("probe-interval", 2*time.Second, "health probe cadence for live backends")
 		readmitDelay  = flag.Duration("readmit-delay", 3*time.Second, "base delay before re-probing an ejected backend")
 		timeout       = flag.Duration("timeout", 10*time.Second, "per-operation backend I/O deadline")
-		verbose       = flag.Bool("v", false, "log ejections, re-admissions, and failovers")
-		structured    = flag.Bool("log", false, "emit structured (slog) dispatch events on stderr")
+		structured    = flag.Bool("log", false, "emit structured (slog) ejection, re-admission, drain and failover events on stderr")
 		statsAddr     = flag.String("stats-addr", "", "serve aggregated grid+backend stats over HTTP on this address")
 	)
 	flag.Parse()
@@ -121,9 +119,6 @@ func main() {
 		ProbeInterval: *probeInterval,
 		ReadmitDelay:  *readmitDelay,
 		Timeout:       *timeout,
-	}
-	if *verbose {
-		cfg.Logf = log.Printf
 	}
 	if *structured {
 		cfg.Log = slog.New(slog.NewTextHandler(os.Stderr, nil))

@@ -39,7 +39,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -106,8 +105,7 @@ func main() {
 		resumeMax    = flag.Int("resume-max", 1024, "maximum retained session checkpoints")
 		resumeBytes  = flag.Int64("resume-bytes", 64<<20, "checkpoint retention memory budget in bytes")
 		resumeTTL    = flag.Duration("resume-ttl", 15*time.Minute, "checkpoint retention age limit (negative disables)")
-		verbose      = flag.Bool("v", false, "log per-connection diagnostics")
-		structured   = flag.Bool("log", false, "emit structured (slog) session/drain events on stderr")
+		structured   = flag.Bool("log", false, "emit structured (slog) session, drain and error events on stderr")
 		statsAddr    = flag.String("stats-addr", "", "serve stats over HTTP on this address (text on /, JSON on /json)")
 
 		exploreWorkers   = flag.Int("explore-workers", 0, "worker goroutines per distributed-exploration shard (0 = GOMAXPROCS)")
@@ -145,9 +143,6 @@ func main() {
 		TenantWeights:     weights,
 		ExploreWorkers:    *exploreWorkers,
 		ExploreMaxStates:  *exploreMaxStates,
-	}
-	if *verbose {
-		cfg.Logf = log.Printf
 	}
 	if *structured {
 		cfg.Log = slog.New(slog.NewTextHandler(os.Stderr, nil))

@@ -52,7 +52,7 @@ func main() {
 	fmt.Println("trace:", run.Trace)
 	fmt.Println("trace is SC (exact check):", trace.HasSerialReordering(run.Trace))
 
-	check := func(name string, gen observer.STOrderGenerator) {
+	check := func(name string, gen observer.Generator) {
 		stream, obs, err := observer.ObserveRun(run, gen, observer.Config{PoolSize: m.RecommendedPoolSize()})
 		if err != nil {
 			fmt.Printf("%-22s observer error: %v\n", name+":", err)
@@ -66,9 +66,10 @@ func main() {
 	}
 
 	fmt.Println()
-	check("real-time generator", observer.NewRealTime())
-	check("queue-aware generator", lazycache.NewGenerator(3))
+	check("real-time generator", observer.Generator{})
+	check("queue-aware generator", observer.Generator{SerializeOn: lazycache.MemoryWrite})
 
 	fmt.Println("\nThe protocol is SC; only the ST-order annotation differs.")
-	fmt.Println("This is why Section 4.2 makes the ST-order generator pluggable.")
+	fmt.Println("This is why Section 4.2 orders lazy caching's stores when a")
+	fmt.Println("memory-write dequeues them, not when they are issued.")
 }

@@ -42,7 +42,10 @@ func main() {
 	fmt.Println("run:  ", run)
 	fmt.Println("trace:", run.Trace)
 
-	stream, obs, err := observer.ObserveRun(run, observer.NewRealTime(), observer.Config{})
+	// The zero Generator orders each block's stores as they are issued
+	// (Section 4.2's real-time generator), as every protocol here but lazy
+	// caching and the fenced store buffer allows.
+	stream, obs, err := observer.ObserveRun(run, observer.Generator{}, observer.Config{})
 	if err != nil {
 		log.Fatalf("observer: %v", err)
 	}
@@ -63,6 +66,8 @@ func main() {
 		len(d.Labels), len(d.Edges), d.IsAcyclic())
 
 	// --- Part 2: verify a whole protocol, every run at once. ------------
+	// The zero Options explore with the real-time generator and the
+	// default ID pool.
 	p := serial.New(trace.Params{Procs: 2, Blocks: 1, Values: 1})
 	res := mc.Verify(p, mc.Options{})
 	fmt.Println("\nmodel checking:", res)

@@ -98,7 +98,7 @@ func observedStreams(t *testing.T) ([]descriptor.Stream, []int) {
 	for _, p := range protos {
 		for seed := int64(1); seed <= 4; seed++ {
 			run := protocol.RandomRun(p, 24, seed)
-			s, obs, _ := observer.ObserveRun(run, observer.NewRealTime(), observer.Config{})
+			s, obs, _ := observer.ObserveRun(run, observer.Generator{}, observer.Config{})
 			if len(s) > 90 {
 				s = s[:90]
 			}

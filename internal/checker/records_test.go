@@ -139,7 +139,7 @@ func TestRecordsReclaimed(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := protocol.RandomRun(tgt.Protocol, 1500, 3)
-		s, obs, _ := observer.ObserveRun(run, tgt.Generator(), observer.Config{PoolSize: tgt.PoolSize})
+		s, obs, _ := observer.ObserveRun(run, tgt.Generator, observer.Config{PoolSize: tgt.PoolSize})
 		streams, ks = append(streams, s), append(ks, obs.K())
 	}
 	rng := rand.New(rand.NewSource(11))

@@ -62,7 +62,7 @@ func TestRegistryGammaLintClean(t *testing.T) {
 // stream even when the observer errors.
 func observe(tgt registry.Target, steps int, seed int64) (descriptor.Stream, *observer.Observer, *protocol.Run, error) {
 	run := protocol.RandomRun(tgt.Protocol, steps, seed)
-	stream, obs, err := observer.ObserveRun(run, tgt.Generator(), observer.Config{PoolSize: tgt.PoolSize})
+	stream, obs, err := observer.ObserveRun(run, tgt.Generator, observer.Config{PoolSize: tgt.PoolSize})
 	return stream, obs, run, err
 }
 
@@ -152,10 +152,8 @@ func TestCloneIndependence(t *testing.T) {
 	// Step a cloned pipeline aggressively; the original's state keys must
 	// not move.
 	tgt := allTargets(t)["msi"]
-	chk := checker.New(0)
-	obs := observer.New(tgt.Protocol, tgt.Generator(), observer.Config{}, nil)
-	chk = checker.New(obs.K())
-	obs = observer.New(tgt.Protocol, tgt.Generator(), observer.Config{}, chk.Step)
+	chk := checker.New(tgt.K())
+	obs := observer.New(tgt.Protocol, tgt.Generator, observer.Config{PoolSize: tgt.PoolSize}, chk.Step)
 
 	run := protocol.RandomRun(tgt.Protocol, 20, 13)
 	half := len(run.Steps) / 2

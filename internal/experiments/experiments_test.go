@@ -80,3 +80,38 @@ func TestTestingScenarioReport(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyReport runs E6 and requires the exact search's classification
+// on every counterexample: lazy-realtime's traces are SC by construction,
+// so its counterexample must read as an annotation inadequacy.
+func TestVerifyReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("model checking in short mode")
+	}
+	out := runExp(t, "verify")
+	lines := strings.Split(out, "\n")
+	rows := 0
+	for i, line := range lines {
+		f := strings.Fields(line)
+		if len(f) < 3 || f[2] != "violated" {
+			continue
+		}
+		rows++
+		if i+1 == len(lines) || !strings.Contains(lines[i+1], "counterexample") {
+			t.Errorf("violated row without a counterexample: %q", line)
+			continue
+		}
+		cex := lines[i+1]
+		certified := strings.Contains(cex, "counterexample, certified non-SC:")
+		inadequate := strings.Contains(cex, "counterexample, annotation inadequacy (trace is SC):")
+		if certified == inadequate {
+			t.Errorf("%s: counterexample not classified: %q", f[0], cex)
+		}
+		if f[0] == "lazy-realtime" && !inadequate {
+			t.Errorf("lazy-realtime's counterexample is not an annotation inadequacy: %q", cex)
+		}
+	}
+	if rows == 0 {
+		t.Fatalf("no violated rows in:\n%s", out)
+	}
+}

@@ -50,7 +50,7 @@ func lintBandwidth(p protocol.Protocol, opts Options, rep *Report) {
 			return nil
 		}
 
-		obs := observer.New(p, opts.Generator(), observer.Config{PoolSize: opts.PoolSize}, track)
+		obs := observer.New(p, opts.Generator, observer.Config{PoolSize: opts.PoolSize}, track)
 		k := obs.K()
 		failed := false
 		for i, step := range run.Steps {

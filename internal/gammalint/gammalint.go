@@ -162,9 +162,9 @@ type Options struct {
 	// PoolSize declares the observer ID pool (k) for the bandwidth pass;
 	// 0 selects the observer's Section 4.4 default for the protocol.
 	PoolSize int
-	// Generator builds the ST-order generator for the bandwidth pass; nil
-	// means the trivial real-time generator.
-	Generator func() observer.STOrderGenerator
+	// Generator is the ST-order generator for the bandwidth pass; the zero
+	// value is the trivial real-time generator.
+	Generator observer.Generator
 	// BandwidthRuns is the number of pseudo-random runs replayed through
 	// the observer; 0 means 20. Negative disables the pass.
 	BandwidthRuns int
@@ -191,9 +191,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BandwidthSteps == 0 {
 		o.BandwidthSteps = 60
-	}
-	if o.Generator == nil {
-		o.Generator = func() observer.STOrderGenerator { return observer.NewRealTime() }
 	}
 	return o
 }

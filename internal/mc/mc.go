@@ -61,8 +61,8 @@ type Options struct {
 	MaxDepth int
 	// PoolSize overrides the observer ID pool (0 = Section 4.4 default).
 	PoolSize int
-	// Generator constructs the ST-order generator; nil means real-time.
-	Generator func() observer.STOrderGenerator
+	// Generator is the ST-order generator; the zero value is real-time.
+	Generator observer.Generator
 	// Progress, if non-nil, is called periodically with the deepest state
 	// seen, the visited-set size, and the ready-queue length.
 	Progress func(depth, states, frontier int)

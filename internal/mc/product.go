@@ -16,15 +16,8 @@ import (
 type ProductOptions struct {
 	// PoolSize overrides the observer ID pool (0 = Section 4.4 default).
 	PoolSize int
-	// Generator constructs the ST-order generator; nil means real-time.
-	Generator func() observer.STOrderGenerator
-}
-
-func (po ProductOptions) generator() func() observer.STOrderGenerator {
-	if po.Generator != nil {
-		return po.Generator
-	}
-	return func() observer.STOrderGenerator { return observer.NewRealTime() }
+	// Generator is the ST-order generator; the zero value is real-time.
+	Generator observer.Generator
 }
 
 // Product is one concrete product state: the protocol state plus live
@@ -48,7 +41,7 @@ type Product struct {
 // NewProduct builds the initial product state of p.
 func NewProduct(p protocol.Protocol, po ProductOptions) *Product {
 	e := &Product{PState: p.Initial()}
-	e.Obs = observer.New(p, po.generator()(), observer.Config{PoolSize: po.PoolSize}, e.feed)
+	e.Obs = observer.New(p, po.Generator, observer.Config{PoolSize: po.PoolSize}, e.feed)
 	e.Chk = checker.New(e.Obs.K())
 	e.Chk.SetParams(p.Params())
 	e.rekey()

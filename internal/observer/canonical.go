@@ -1,24 +1,12 @@
 package observer
 
-// appendRoles appends the node handles the generator holds, in a fixed
-// role order, so the canonical renaming is history-independent. Other
-// generators hold no roles the renaming can see.
-func (o *Observer) appendRoles(dst []NodeHandle) []NodeHandle {
-	switch g := o.gen.(type) {
-	case *RealTime:
-		return appendLastRoles(dst, g.last)
-	case *QueueGenerator:
-		return g.appendRoles(dst)
-	}
-	return dst
-}
-
 // CanonicalRename computes a permutation of descriptor IDs that depends
 // only on the observer's abstract state, not on the history of pool
 // allocations: live nodes are numbered by a fixed traversal of the
 // observer's roles (locations, program-order tails, first stores, pending
-// ⊥-loads, generator roles, then successors and pending loads of already-
-// numbered nodes), and free IDs are numbered by their pop order. The
+// ⊥-loads, queued stores by processor, last stores by block, then
+// successors and pending loads of already-numbered nodes), and free IDs
+// are numbered by their pop order. The
 // returned slice maps raw ID → canonical ID for 1..poolSize, with the
 // reserved release ID mapped to itself. Renaming the observer's and
 // checker's state keys through this permutation makes runs that differ
@@ -60,9 +48,15 @@ func (o *Observer) AppendCanonicalRename(dst []int) []int {
 	for _, id := range o.bottoms {
 		name(id)
 	}
-	var roleBuf [16]NodeHandle
-	for _, h := range o.appendRoles(roleBuf[:0]) {
-		name(o.byHandle(h))
+	for p := 1; p <= o.procs; p++ {
+		for _, id := range o.queue {
+			if int(o.nodes[id].op.Proc) == p {
+				name(id)
+			}
+		}
+	}
+	for _, id := range o.lastSt {
+		name(id)
 	}
 	// Breadth-first closure over structural references: live successors
 	// (a released one's ID may already name another node) and pending

@@ -43,23 +43,23 @@ func TestObserverCopyFromMatchesClone(t *testing.T) {
 	cases := []struct {
 		name string
 		p    protocol.Protocol
-		gen  func() observer.STOrderGenerator
+		gen  observer.Generator
 		pool int
 	}{
-		{"serial", serial.New(trace.Params{Procs: 2, Blocks: 2, Values: 2}), func() observer.STOrderGenerator { return observer.NewRealTime() }, 0},
-		{"storebuffer", storebuffer.New(trace.Params{Procs: 2, Blocks: 2, Values: 1}, 1), func() observer.STOrderGenerator { return observer.NewRealTime() }, 0},
-		{"lazy", lazy, func() observer.STOrderGenerator { return lazycache.NewGenerator(2) }, lazy.RecommendedPoolSize()},
+		{"serial", serial.New(trace.Params{Procs: 2, Blocks: 2, Values: 2}), observer.Generator{}, 0},
+		{"storebuffer", storebuffer.New(trace.Params{Procs: 2, Blocks: 2, Values: 1}, 1), observer.Generator{}, 0},
+		{"lazy", lazy, observer.Generator{SerializeOn: lazycache.MemoryWrite}, lazy.RecommendedPoolSize()},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := observer.Config{PoolSize: tc.pool}
 			var dstSink recorder
-			dst := observer.New(tc.p, tc.gen(), cfg, dstSink.emit)
+			dst := observer.New(tc.p, tc.gen, cfg, dstSink.emit)
 			for seed := int64(1); seed <= 6; seed++ {
 				run := protocol.RandomRun(tc.p, 30, seed)
 				for cut := 0; cut <= len(run.Steps); cut++ {
 					var srcSink recorder
-					src := observer.New(tc.p, tc.gen(), cfg, srcSink.emit)
+					src := observer.New(tc.p, tc.gen, cfg, srcSink.emit)
 					for _, st := range run.Steps[:cut] {
 						_ = src.Step(st.Transition)
 					}

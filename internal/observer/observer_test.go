@@ -125,7 +125,7 @@ func TestInheritanceObserverInvalidation(t *testing.T) {
 func observeAndCheck(t *testing.T, p protocol.Protocol, steps int, seed int64) error {
 	t.Helper()
 	run := protocol.RandomRun(p, steps, seed)
-	stream, o, err := ObserveRun(run, NewRealTime(), Config{})
+	stream, o, err := ObserveRun(run, Generator{}, Config{})
 	if err != nil {
 		t.Fatalf("observer failed on run %s: %v", run, err)
 	}
@@ -153,7 +153,7 @@ func TestSerialMemoryTracesAreSC(t *testing.T) {
 	// the run's trace has a serial reordering (here: itself).
 	p := serial.New(trace.Params{Procs: 3, Blocks: 2, Values: 2})
 	run := protocol.RandomRun(p, 20, 7)
-	stream, _, err := ObserveRun(run, NewRealTime(), Config{})
+	stream, _, err := ObserveRun(run, Generator{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestObserverCatchesWrongLoadValue(t *testing.T) {
 		},
 	}
 	run := runScript(t, script)
-	_, _, err := ObserveRun(run, NewRealTime(), Config{})
+	_, _, err := ObserveRun(run, Generator{}, Config{})
 	if err == nil || !strings.Contains(err.Error(), "inconsistent") {
 		t.Errorf("got %v", err)
 	}
@@ -191,7 +191,7 @@ func TestObserverCatchesLoadFromEmptyLocation(t *testing.T) {
 		},
 	}
 	run := runScript(t, script)
-	_, _, err := ObserveRun(run, NewRealTime(), Config{})
+	_, _, err := ObserveRun(run, Generator{}, Config{})
 	if err == nil || !strings.Contains(err.Error(), "no store") {
 		t.Errorf("got %v", err)
 	}
@@ -207,7 +207,7 @@ func TestObserverBottomLoadBeforeAndAfterFirstStore(t *testing.T) {
 		},
 	}
 	run := runScript(t, script)
-	stream, o, err := ObserveRun(run, NewRealTime(), Config{})
+	stream, o, err := ObserveRun(run, Generator{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestObserverStaleCopyGetsForcedEdge(t *testing.T) {
 		},
 	}
 	run := runScript(t, script)
-	stream, o, err := ObserveRun(run, NewRealTime(), Config{})
+	stream, o, err := ObserveRun(run, Generator{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestObserverStaleReadAfterOverwriteIsNotSC(t *testing.T) {
 		},
 	}
 	run := runScript(t, script)
-	stream, o, err := ObserveRun(run, NewRealTime(), Config{})
+	stream, o, err := ObserveRun(run, Generator{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestObserverStaleReadAfterOverwriteIsNotSC(t *testing.T) {
 func TestObserverPoolExhaustion(t *testing.T) {
 	p := serial.New(trace.Params{Procs: 2, Blocks: 2, Values: 2})
 	run := protocol.RandomRun(p, 30, 3)
-	_, _, err := ObserveRun(run, NewRealTime(), Config{PoolSize: 2})
+	_, _, err := ObserveRun(run, Generator{}, Config{PoolSize: 2})
 	if err == nil || !strings.Contains(err.Error(), "pool") {
 		t.Errorf("got %v", err)
 	}
@@ -305,7 +305,7 @@ func TestObserverIDsStayWithinPool(t *testing.T) {
 	p := serial.New(trace.Params{Procs: 2, Blocks: 2, Values: 2})
 	for seed := int64(0); seed < 10; seed++ {
 		run := protocol.RandomRun(p, 40, seed)
-		stream, o, err := ObserveRun(run, NewRealTime(), Config{})
+		stream, o, err := ObserveRun(run, Generator{}, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ func TestObserverStateKeyDeterministic(t *testing.T) {
 	run := protocol.RandomRun(p, 15, 5)
 	var keys1, keys2 [][]byte
 	for pass := 0; pass < 2; pass++ {
-		o := New(p, NewRealTime(), Config{}, func(descriptor.Symbol) error { return nil })
+		o := New(p, Generator{}, Config{}, func(descriptor.Symbol) error { return nil })
 		var keys [][]byte
 		for _, step := range run.Steps {
 			if err := o.Step(step.Transition); err != nil {
@@ -355,7 +355,7 @@ func TestDefaultPoolSize(t *testing.T) {
 func TestObserverStats(t *testing.T) {
 	p := serial.New(trace.Params{Procs: 2, Blocks: 2, Values: 2})
 	run := protocol.RandomRun(p, 20, 9)
-	stream, o, err := ObserveRun(run, NewRealTime(), Config{})
+	stream, o, err := ObserveRun(run, Generator{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

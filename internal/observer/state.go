@@ -24,8 +24,8 @@ func (o *Observer) CanonicalKey(rename []int) []byte {
 }
 
 // AppendCanonicalKey appends CanonicalKey(rename) to dst (StateKey when
-// rename is nil). It builds no maps and, with a built-in generator and up
-// to 64 live nodes, allocates nothing beyond growing dst.
+// rename is nil). It builds no maps and, for up to 64 live nodes,
+// allocates nothing beyond growing dst.
 func (o *Observer) AppendCanonicalKey(dst []byte, rename []int) []byte {
 	if o.err != nil {
 		return append(dst, 0xff)
@@ -138,17 +138,31 @@ func (o *Observer) AppendCanonicalKey(dst []byte, rename []int) []byte {
 		}
 	}
 
-	// Generator state, with the built-in generators' handles resolved to
-	// descriptor IDs; other generators encode their own raw state.
+	// Generator state: the queued stores of each processor in FIFO order,
+	// then the last serialized store of each block.
 	key = append(key, 0xfe)
-	resolve := func(h NodeHandle) int { return int(idOf(o.byHandle(h))) }
-	switch g := o.gen.(type) {
-	case *RealTime:
-		key = g.AppendStateKeyResolved(key, resolve)
-	case *QueueGenerator:
-		key = g.AppendStateKeyResolved(key, resolve)
-	default:
-		key = append(key, o.gen.StateKey()...)
+	if o.gen.SerializeOn != "" {
+		for p := 1; p <= o.procs; p++ {
+			n := 0
+			for _, id := range o.queue {
+				if int(o.nodes[id].op.Proc) == p {
+					n++
+				}
+			}
+			put(uint64(n))
+			for _, id := range o.queue {
+				if int(o.nodes[id].op.Proc) == p {
+					put(mapID(id))
+					put(uint64(o.nodes[id].op.Block))
+				}
+			}
+		}
+	}
+	for b, id := range o.lastSt {
+		if id != 0 {
+			put(uint64(b + 1))
+			put(mapID(id))
+		}
 	}
 	return key
 }

@@ -31,11 +31,23 @@ func (o *Observer) Step(t protocol.Transition) error {
 	return o.err
 }
 
-// stepInternal applies copy tracking labels to the location map and lets
-// the ST-order generator observe the action.
+// stepInternal applies copy tracking labels to the location map and, on
+// the generator's SerializeOn action, serializes the oldest queued store of
+// the processor the action names. Naming a processor with nothing queued,
+// or none of 1..p, serializes nothing.
 func (o *Observer) stepInternal(t protocol.Transition) error {
 	o.applyCopies(t.Copies)
-	return o.applyUpdate(o.gen.OnInternal(t.Action))
+	a := t.Action
+	if o.gen.SerializeOn == "" || a.Name != o.gen.SerializeOn || len(a.Args) < 1 {
+		return nil
+	}
+	for i, id := range o.queue {
+		if int(o.nodes[id].op.Proc) == a.Args[0] {
+			o.queue = append(o.queue[:i], o.queue[i+1:]...)
+			return o.serializeNow(id)
+		}
+	}
+	return nil
 }
 
 // applyCopies moves values between locations per the copy tracking labels.
@@ -72,8 +84,7 @@ func (o *Observer) applyCopies(copies []protocol.Copy) {
 }
 
 // stepStore adds the store node, its program-order edge, installs the
-// store's value in its location, and applies whatever ST-order information
-// the generator derives.
+// store's value in its location, and serializes the store or queues it.
 func (o *Observer) stepStore(t protocol.Transition) error {
 	op := *t.Action.Op
 	o.stats.Ops++
@@ -101,7 +112,11 @@ func (o *Observer) stepStore(t protocol.Transition) error {
 	// The generator must eventually order this store; keep it addressable
 	// until its outgoing ST-order edge is emitted.
 	o.pin(id)
-	return o.applyUpdate(o.gen.OnStore(o.nodes[id].h, op))
+	if o.gen.SerializeOn != "" {
+		o.queue = append(o.queue, id)
+		return nil
+	}
+	return o.serializeNow(id)
 }
 
 // stepLoad adds the load node, its program-order edge, and its inheritance
@@ -177,85 +192,111 @@ func (o *Observer) emitProgramOrder(id int32) error {
 	return nil
 }
 
-// applyUpdate emits the ST-order edges and first-store consequences the
-// generator determined: the edges themselves, the forced edges they arm,
-// and the forced edges owed by pending ⊥-loads.
-func (o *Observer) applyUpdate(u Update) error {
-	for _, e := range u.Edges {
-		from, to := o.byHandle(e.From), o.byHandle(e.To)
-		if from == 0 || to == 0 {
-			return o.fail(fmt.Errorf("observer: ST-order generator referenced a retired node (%d→%d)", e.From, e.To))
+// serialize makes store id its block's last serialized store. After a
+// previous store it emits their ST-order edge, the forced edges that edge
+// arms, and releases the previous store's generator pin. Otherwise id is
+// the block's first store: serialize records and pins it and reports
+// true, and settleFirst then emits the forced edges it is owed.
+func (o *Observer) serialize(id int32) (bool, error) {
+	b := o.nodes[id].op.Block
+	from := o.lastSt[b-1]
+	o.lastSt[b-1] = id
+	if from == 0 {
+		o.firstSt[b-1] = id
+		o.pin(id) // late ⊥-loads may still need a forced edge to it
+		return true, nil
+	}
+	if err := o.send(descriptor.Edge{From: int(from), To: int(id), Label: descriptor.STo}); err != nil {
+		return false, err
+	}
+	f := &o.nodes[from]
+	f.ordered, f.succ, f.succH = true, id, o.nodes[id].h
+	o.nodes[id].stIn = true
+	// Late inheritors of `from` (possible while its value still sits in
+	// some location) will need forced edges to `id`: keep `id` addressable
+	// while `from` is inh-active.
+	if f.locRefs > 0 {
+		f.succPinned = true
+		o.pin(id)
+	}
+	// Pending inheritors owe their forced edges now, emitted in processor
+	// order so the stream is a deterministic function of the run.
+	for _, slot := range o.pendingOf(from) {
+		if slot == 0 {
+			continue
 		}
-		f := &o.nodes[from]
-		if f.ordered {
-			return o.fail(fmt.Errorf("observer: ST-order generator ordered %s twice", f.op))
+		if err := o.send(descriptor.Edge{From: int(slot), To: int(id), Label: descriptor.Forced}); err != nil {
+			return false, err
 		}
-		if err := o.send(descriptor.Edge{From: int(from), To: int(to), Label: descriptor.STo}); err != nil {
+		o.unpin(slot)
+	}
+	clear(o.pendingOf(from))
+	// The store is ordered: release the generator's pin.
+	o.unpin(from)
+	return false, nil
+}
+
+// settleFirst emits the forced edges the pending ⊥-loads of first store
+// id's block owe it, in processor order.
+func (o *Observer) settleFirst(id int32) error {
+	b := o.nodes[id].op.Block
+	for p := 1; p <= o.procs; p++ {
+		slot := &o.bottoms[o.bottomSlot(trace.Op{Proc: trace.ProcID(p), Block: b})]
+		if *slot == 0 {
+			continue
+		}
+		if err := o.send(descriptor.Edge{From: int(*slot), To: int(id), Label: descriptor.Forced}); err != nil {
 			return err
 		}
-		f.ordered, f.succ, f.succH = true, to, e.To
-		o.nodes[to].stIn = true
-		// Late inheritors of `from` (possible while its value still sits in
-		// some location) will need forced edges to `to`: keep `to`
-		// addressable while `from` is inh-active.
-		if f.locRefs > 0 {
-			f.succPinned = true
-			o.pin(to)
-		}
-		// Pending inheritors owe their forced edges now, emitted in
-		// processor order so the stream is a deterministic function of the
-		// run.
-		for _, slot := range o.pendingOf(from) {
-			if slot == 0 {
-				continue
-			}
-			if err := o.send(descriptor.Edge{From: int(slot), To: int(to), Label: descriptor.Forced}); err != nil {
-				return err
-			}
-			o.unpin(slot)
-		}
-		clear(o.pendingOf(from))
-		// The store is ordered: release the generator's pin.
-		o.unpin(from)
+		o.unpin(*slot)
+		*slot = 0
 	}
-	for _, fs := range u.Firsts {
-		id := o.byHandle(fs.Node)
-		if id == 0 {
-			return o.fail(fmt.Errorf("observer: first store of block B%d is a retired node", fs.Block))
-		}
-		first := &o.firstSt[fs.Block-1]
-		if *first != 0 {
-			return o.fail(fmt.Errorf("observer: first store of block B%d reported twice", fs.Block))
-		}
-		*first = id
-		o.pin(id) // late ⊥-loads may still need a forced edge to it
-		for p := 1; p <= o.procs; p++ {
-			slot := &o.bottoms[o.bottomSlot(trace.Op{Proc: trace.ProcID(p), Block: fs.Block})]
-			if *slot == 0 {
+	return nil
+}
+
+// serializeNow serializes store id and settles it if it is first.
+func (o *Observer) serializeNow(id int32) error {
+	if first, err := o.serialize(id); !first || err != nil {
+		return err
+	}
+	return o.settleFirst(id)
+}
+
+// Finish completes the run: it serializes the stores still queued,
+// processors in index order and each FIFO in order, emitting every
+// ST-order edge before any first store's forced edges.
+func (o *Observer) Finish() error {
+	if o.err != nil {
+		return o.err
+	}
+	var buf [8]int32
+	firsts := buf[:0]
+	for p := 1; p <= o.procs; p++ {
+		for _, id := range o.queue {
+			if int(o.nodes[id].op.Proc) != p {
 				continue
 			}
-			if err := o.send(descriptor.Edge{From: int(*slot), To: int(id), Label: descriptor.Forced}); err != nil {
+			first, err := o.serialize(id)
+			if err != nil {
 				return err
 			}
-			o.unpin(*slot)
-			*slot = 0
+			if first {
+				firsts = append(firsts, id)
+			}
+		}
+	}
+	o.queue = o.queue[:0]
+	for _, id := range firsts {
+		if err := o.settleFirst(id); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Finish completes the run: the generator resolves any stores it has not
-// yet serialized, and the induced edges are emitted.
-func (o *Observer) Finish() error {
-	if o.err != nil {
-		return o.err
-	}
-	return o.applyUpdate(o.gen.Finish())
-}
-
 // ObserveRun replays a recorded run through a fresh observer, returning
 // the collected descriptor stream.
-func ObserveRun(run *protocol.Run, gen STOrderGenerator, cfg Config) (descriptor.Stream, *Observer, error) {
+func ObserveRun(run *protocol.Run, gen Generator, cfg Config) (descriptor.Stream, *Observer, error) {
 	var stream descriptor.Stream
 	o := New(run.Protocol, gen, cfg, func(sym descriptor.Symbol) error {
 		stream = append(stream, sym)

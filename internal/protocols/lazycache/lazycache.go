@@ -4,8 +4,8 @@
 // store enters its processor's out-queue immediately but serializes only
 // when a later memory-write event pops it into memory, so the per-block
 // store order is the memory-write order, not the trace order. Verifying
-// it therefore needs the non-trivial ST-order generator of Section 4.2,
-// provided here as Generator.
+// it therefore needs the non-trivial ST-order generator of Section 4.2: the
+// observer's generator serializing on MemoryWrite.
 //
 // Structure per processor: a cache (one value per block), a FIFO out-queue
 // of pending own stores, and a FIFO in-queue of pending memory updates
@@ -25,6 +25,13 @@ import (
 	"scverify/internal/protocol"
 	"scverify/internal/trace"
 )
+
+// MemoryWrite names the internal action that pops processor P's oldest
+// pending store into memory, memory-write(P,B): the point where lazy
+// caching's stores serialize. Stores still queued at the end of a run can
+// have no inheritors — a processor cannot read its own pending stores and
+// no other processor can see them — so any completion order is legal.
+const MemoryWrite = "memory-write"
 
 // Protocol is the lazy caching machine.
 type Protocol struct {
@@ -228,7 +235,7 @@ func (m *Protocol) memoryWrite(s state, p trace.ProcID) protocol.Transition {
 	}
 	copies = append(copies, protocol.Copy{Dst: m.OutLoc(p, len(s.out[p])-1), Src: 0})
 	return protocol.Transition{
-		Action: protocol.Internal("memory-write", int(p), int(head.block)),
+		Action: protocol.Internal(MemoryWrite, int(p), int(head.block)),
 		Next:   next,
 		Copies: copies,
 	}

@@ -21,7 +21,7 @@ func take(t *testing.T, r *protocol.Runner, want string) {
 	t.Fatalf("action %q not enabled; run: %s", want, r.Run())
 }
 
-func observeWith(t *testing.T, run *protocol.Run, gen observer.STOrderGenerator, pool int) error {
+func observeWith(t *testing.T, run *protocol.Run, gen observer.Generator, pool int) error {
 	t.Helper()
 	stream, o, err := observer.ObserveRun(run, gen, observer.Config{PoolSize: pool})
 	if err != nil {
@@ -65,7 +65,7 @@ func TestReorderedRunIsSC(t *testing.T) {
 func TestLazyGeneratorAcceptsReorderedRun(t *testing.T) {
 	m := New(trace.Params{Procs: 3, Blocks: 1, Values: 2}, 1, 2)
 	run := reorderedRun(t, m)
-	if err := observeWith(t, run, NewGenerator(3), m.RecommendedPoolSize()); err != nil {
+	if err := observeWith(t, run, observer.Generator{SerializeOn: MemoryWrite}, m.RecommendedPoolSize()); err != nil {
 		t.Errorf("lazy generator rejected a legal lazy-caching run: %v", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestRealTimeGeneratorRejectsReorderedRun(t *testing.T) {
 	// witness graph on the reordered run.
 	m := New(trace.Params{Procs: 3, Blocks: 1, Values: 2}, 1, 2)
 	run := reorderedRun(t, m)
-	if err := observeWith(t, run, observer.NewRealTime(), m.RecommendedPoolSize()); err == nil {
+	if err := observeWith(t, run, observer.Generator{}, m.RecommendedPoolSize()); err == nil {
 		t.Error("real-time generator accepted the memory-write-reordered run")
 	}
 }
@@ -85,7 +85,7 @@ func TestRandomRunsAccepted(t *testing.T) {
 	m := New(trace.Params{Procs: 2, Blocks: 2, Values: 2}, 2, 3)
 	for seed := int64(0); seed < 25; seed++ {
 		run := protocol.RandomRun(m, 40, seed)
-		if err := observeWith(t, run, NewGenerator(2), m.RecommendedPoolSize()); err != nil {
+		if err := observeWith(t, run, observer.Generator{SerializeOn: MemoryWrite}, m.RecommendedPoolSize()); err != nil {
 			t.Fatalf("seed %d: rejected: %v\nrun: %s", seed, err, run)
 		}
 	}
@@ -140,7 +140,7 @@ func TestStaleReadIsLegal(t *testing.T) {
 	if !trace.HasSerialReordering(run.Trace) {
 		t.Fatalf("stale-read trace must be SC: %s", run.Trace)
 	}
-	if err := observeWith(t, run, NewGenerator(2), m.RecommendedPoolSize()); err != nil {
+	if err := observeWith(t, run, observer.Generator{SerializeOn: MemoryWrite}, m.RecommendedPoolSize()); err != nil {
 		t.Errorf("stale read rejected: %v", err)
 	}
 }
@@ -152,7 +152,7 @@ func TestModelCheckTiny(t *testing.T) {
 	m := New(trace.Params{Procs: 2, Blocks: 1, Values: 1}, 1, 1)
 	res := mc.Verify(m, mc.Options{
 		PoolSize:  m.RecommendedPoolSize(),
-		Generator: func() observer.STOrderGenerator { return NewGenerator(2) },
+		Generator: observer.Generator{SerializeOn: MemoryWrite},
 		MaxDepth:  10,
 	})
 	if res.Verdict == mc.Violated {
@@ -169,7 +169,7 @@ func TestGeneratorFinishOrdersLeftovers(t *testing.T) {
 	take(t, r, "ST(P1,B1,1)")
 	take(t, r, "ST(P2,B1,2)")
 	run := r.Run()
-	if err := observeWith(t, run, NewGenerator(2), m.RecommendedPoolSize()); err != nil {
+	if err := observeWith(t, run, observer.Generator{SerializeOn: MemoryWrite}, m.RecommendedPoolSize()); err != nil {
 		t.Errorf("pending-store run rejected: %v", err)
 	}
 }

@@ -22,7 +22,7 @@ func take(t *testing.T, r *protocol.Runner, want string) {
 
 func observeAndCheck(t *testing.T, run *protocol.Run) error {
 	t.Helper()
-	stream, o, err := observer.ObserveRun(run, observer.NewRealTime(), observer.Config{})
+	stream, o, err := observer.ObserveRun(run, observer.Generator{}, observer.Config{})
 	if err != nil {
 		return err
 	}

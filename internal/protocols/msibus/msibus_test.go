@@ -69,7 +69,7 @@ func TestRandomRunsObserveAndCheck(t *testing.T) {
 	m := New(trace.Params{Procs: 2, Blocks: 2, Values: 2})
 	for seed := int64(0); seed < 25; seed++ {
 		run := protocol.RandomRun(m, 40, seed)
-		stream, o, err := observer.ObserveRun(run, observer.NewRealTime(), observer.Config{})
+		stream, o, err := observer.ObserveRun(run, observer.Generator{}, observer.Config{})
 		if err != nil {
 			t.Fatalf("seed %d: observer error: %v\nrun: %s", seed, err, run)
 		}
@@ -132,7 +132,7 @@ func TestLostWritebackBugProducesNonSCTrace(t *testing.T) {
 	if trace.HasSerialReordering(run.Trace) {
 		t.Fatalf("expected non-SC trace, got SC: %s", run.Trace)
 	}
-	stream, o, err := observer.ObserveRun(run, observer.NewRealTime(), observer.Config{})
+	stream, o, err := observer.ObserveRun(run, observer.Generator{}, observer.Config{})
 	if err != nil {
 		t.Fatalf("observer error: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestNoInvalidateBugProducesNonSCTrace(t *testing.T) {
 	if trace.HasSerialReordering(run.Trace) {
 		t.Fatalf("expected non-SC trace, got SC: %s", run.Trace)
 	}
-	stream, o, err := observer.ObserveRun(run, observer.NewRealTime(), observer.Config{})
+	stream, o, err := observer.ObserveRun(run, observer.Generator{}, observer.Config{})
 	if err != nil {
 		t.Fatalf("observer error: %v", err)
 	}

@@ -72,7 +72,7 @@ func TestFencedDrainReorderAcrossProcsAccepted(t *testing.T) {
 	}
 	// And the real-time generator must reject the same run.
 	rt := tgt
-	rt.Generator = func() observer.STOrderGenerator { return observer.NewRealTime() }
+	rt.Generator = observer.Generator{}
 	if err := sctest.CheckRun(run, rt); err == nil {
 		t.Error("real-time generator accepted the drain-reordered run")
 	}

@@ -18,6 +18,11 @@ import (
 	"scverify/internal/trace"
 )
 
+// Drain names the internal action that writes processor P's oldest
+// buffered store to memory, Drain(P): the point where a fenced buffer's
+// stores serialize.
+const Drain = "Drain"
+
 // Protocol is the store-buffer machine.
 type Protocol struct {
 	P   trace.Params
@@ -144,7 +149,7 @@ func (m *Protocol) Transitions(ps protocol.State) []protocol.Transition {
 			}
 			copies = append(copies, protocol.Copy{Dst: m.SlotLoc(p, len(buf)-1), Src: 0})
 			out = append(out, protocol.Transition{
-				Action: protocol.Internal("Drain", int(p)),
+				Action: protocol.Internal(Drain, int(p)),
 				Next:   next,
 				Copies: copies,
 			})

@@ -54,7 +54,7 @@ func TestStoreBufferLitmusNotSC(t *testing.T) {
 	if trace.HasSerialReordering(run.Trace) {
 		t.Fatalf("store-buffering outcome is SC?! %s", run.Trace)
 	}
-	stream, o, err := observer.ObserveRun(run, observer.NewRealTime(), observer.Config{})
+	stream, o, err := observer.ObserveRun(run, observer.Generator{}, observer.Config{})
 	if err != nil {
 		t.Fatalf("observer error: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestForwardingLoadsOwnBufferedStore(t *testing.T) {
 	if !trace.HasSerialReordering(run.Trace) {
 		t.Fatalf("single-processor TSO trace must be SC: %s", run.Trace)
 	}
-	stream, o, err := observer.ObserveRun(run, observer.NewRealTime(), observer.Config{})
+	stream, o, err := observer.ObserveRun(run, observer.Generator{}, observer.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestBufferCapacityRespected(t *testing.T) {
 func TestDrainShiftsSlots(t *testing.T) {
 	m := New(trace.Params{Procs: 1, Blocks: 2, Values: 2}, 2)
 	run := protocol.RandomRun(m, 30, 4)
-	stream, o, err := observer.ObserveRun(run, observer.NewRealTime(), observer.Config{})
+	stream, o, err := observer.ObserveRun(run, observer.Generator{}, observer.Config{})
 	if err != nil {
 		t.Fatalf("observer error on %s: %v", run, err)
 	}

@@ -22,12 +22,12 @@ import (
 	"scverify/internal/trace"
 )
 
-// Target is a ready-to-verify protocol: the machine itself, a factory for
-// its ST-order generator, and the observer ID pool it needs.
+// Target is a ready-to-verify protocol: the machine itself, its ST-order
+// generator, and the observer ID pool it needs.
 type Target struct {
 	Protocol  protocol.Protocol
-	Generator func() observer.STOrderGenerator
-	PoolSize  int // 0 means the observer default
+	Generator observer.Generator
+	PoolSize  int // 0 means the observer default (see K)
 	// ExpectSC records the ground-truth verdict for experiment tables.
 	ExpectSC bool
 	// Note is a one-line description for listings.
@@ -104,7 +104,7 @@ var builders = map[string]builder{
 			p := lazycache.New(o.Params, cap, cap+1)
 			return Target{
 				Protocol:  p,
-				Generator: func() observer.STOrderGenerator { return lazycache.NewGenerator(o.Params.Procs) },
+				Generator: observer.Generator{SerializeOn: lazycache.MemoryWrite},
 				PoolSize:  p.RecommendedPoolSize(),
 				ExpectSC:  true,
 			}
@@ -144,7 +144,7 @@ var builders = map[string]builder{
 			// extra IDs for the queued stores.
 			return Target{
 				Protocol:  p,
-				Generator: func() observer.STOrderGenerator { return observer.NewQueueGenerator("Drain", o.Params.Procs) },
+				Generator: observer.Generator{SerializeOn: storebuffer.Drain},
 				PoolSize:  observer.DefaultPoolSize(p) + o.Params.Procs*cap,
 				ExpectSC:  true,
 			}
@@ -194,8 +194,14 @@ func Build(name string, opts Options) (Target, error) {
 	}
 	t := b.build(opts)
 	t.Note = b.note
-	if t.Generator == nil {
-		t.Generator = func() observer.STOrderGenerator { return observer.NewRealTime() }
-	}
 	return t, nil
+}
+
+// K returns the bandwidth bound of the target's descriptors: its pool
+// size, or the observer's Section 4.4 default when PoolSize is 0.
+func (t Target) K() int {
+	if t.PoolSize != 0 {
+		return t.PoolSize
+	}
+	return observer.DefaultPoolSize(t.Protocol)
 }

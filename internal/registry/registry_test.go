@@ -25,7 +25,7 @@ func TestBuildAll(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if tgt.Protocol == nil || tgt.Generator == nil {
+		if tgt.Protocol == nil {
 			t.Fatalf("%s: incomplete target", name)
 		}
 		if tgt.Protocol.Params() != params {

@@ -222,7 +222,11 @@ func (s *Session) ensure() error {
 		s.b = b
 		if s.landed {
 			s.b.failovers.Add(1)
-			s.g.pool.logf("scgrid: session %.8s… failing over to %s (replay from byte zero)", s.hdr.Token, b.addr)
+			tok := s.hdr.Token
+			if len(tok) > 8 {
+				tok = tok[:8]
+			}
+			s.g.pool.event("session_failover", "token", tok, "backend", b.addr)
 		}
 		// A new backend has none of our bytes: fresh start, full replay.
 		s.r.Restart()

@@ -3,7 +3,9 @@ package scgrid
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,8 +110,8 @@ func newTestGrid(t *testing.T, cfg Config, tbs ...*testBackend) *Grid {
 	if cfg.ReadmitDelay == 0 {
 		cfg.ReadmitDelay = 50 * time.Millisecond
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = t.Logf
+	if cfg.Log == nil {
+		cfg.Log = testLog(t)
 	}
 	g, err := New(addrs, cfg)
 	if err != nil {
@@ -117,6 +119,53 @@ func newTestGrid(t *testing.T, cfg Config, tbs ...*testBackend) *Grid {
 	}
 	t.Cleanup(g.Close)
 	return g
+}
+
+// testLog returns a logger whose events go to t.Log.
+func testLog(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+type testWriter struct{ t *testing.T }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
+// recordLog is a slog handler that keeps each event as its message
+// followed by its attributes.
+type recordLog struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (r *recordLog) Enabled(context.Context, slog.Level) bool { return true }
+func (r *recordLog) WithAttrs([]slog.Attr) slog.Handler       { return r }
+func (r *recordLog) WithGroup(string) slog.Handler            { return r }
+
+func (r *recordLog) Handle(_ context.Context, rec slog.Record) error {
+	ev := rec.Message
+	rec.Attrs(func(a slog.Attr) bool {
+		ev += " " + a.String()
+		return true
+	})
+	r.mu.Lock()
+	r.events = append(r.events, ev)
+	r.mu.Unlock()
+	return nil
+}
+
+// has reports whether an event begins with prefix.
+func (r *recordLog) has(prefix string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, ev := range r.events {
+		if strings.HasPrefix(ev, prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // TestGridCheckBasic: accepts and rejects through the grid match the
@@ -441,10 +490,12 @@ func TestGridAdmissionShed(t *testing.T) {
 }
 
 // TestGridProbeEjectsAndReadmits: the health prober ejects a dead backend
-// and re-admits it after restart.
+// and re-admits it after restart, and logs both, the ejection with its
+// cause.
 func TestGridProbeEjectsAndReadmits(t *testing.T) {
 	tb := startBackend(t, scserve.Config{})
-	g := newTestGrid(t, Config{ReadmitDelay: 20 * time.Millisecond}, tb)
+	rec := &recordLog{}
+	g := newTestGrid(t, Config{ReadmitDelay: 20 * time.Millisecond, Log: slog.New(rec)}, tb)
 
 	g.ProbeNow()
 	if g.Healthy() != 1 {
@@ -467,6 +518,11 @@ func TestGridProbeEjectsAndReadmits(t *testing.T) {
 	st := g.Stats().Backends[0]
 	if st.Ejections == 0 || st.Probes < 2 {
 		t.Fatalf("ejections=%d probes=%d, want ≥1 and ≥2", st.Ejections, st.Probes)
+	}
+	for _, want := range []string{"backend_eject backend=" + tb.addr + " err=", "backend_readmit backend=" + tb.addr + " down="} {
+		if !rec.has(want) {
+			t.Errorf("no %q event in %q", want, rec.events)
+		}
 	}
 }
 

@@ -67,12 +67,9 @@ type Config struct {
 	// Dial overrides the transport, e.g. faultnet's Dialer.DialContext
 	// partially applied to "tcp". Defaults to a net.Dialer.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
-	// Logf, when set, receives pool-level diagnostics (ejections,
-	// re-admissions, failovers).
-	Logf func(format string, args ...any)
-	// Log, when set, receives structured dispatch events (ejections,
-	// re-admissions, drain transitions, failovers) with backend
-	// attributes — the operator-facing counterpart of Logf.
+	// Log, when set, receives the grid's diagnostics as structured
+	// dispatch events (ejections, re-admissions, drain transitions,
+	// failovers) with backend attributes and, on ejection, the cause.
 	Log *slog.Logger
 }
 
@@ -259,12 +256,6 @@ func newPool(addrs []string, cfg Config) *pool {
 	return p
 }
 
-func (p *pool) logf(format string, args ...any) {
-	if p.cfg.Logf != nil {
-		p.cfg.Logf(format, args...)
-	}
-}
-
 func (p *pool) event(ev string, args ...any) {
 	if p.cfg.Log != nil {
 		p.cfg.Log.Info(ev, args...)
@@ -282,11 +273,6 @@ func (p *pool) setDraining(b *backend, v bool) {
 	b.draining = v
 	b.mu.Unlock()
 	if was != v {
-		if v {
-			p.logf("scgrid: backend %s draining: deprioritized for new sessions", b.addr)
-		} else {
-			p.logf("scgrid: backend %s no longer draining", b.addr)
-		}
 		p.event("backend_drain", "backend", b.addr, "draining", v)
 	}
 }
@@ -481,7 +467,7 @@ func (p *pool) eject(b *backend, cause error) {
 	b.nextProbe = time.Now().Add(p.jitter(p.cfg.ReadmitDelay))
 	b.mu.Unlock()
 	if was {
-		p.logf("scgrid: backend %s ejected: %v", b.addr, cause)
+		p.event("backend_eject", "backend", b.addr, "err", cause)
 	}
 }
 
@@ -493,7 +479,7 @@ func (p *pool) readmit(b *backend) {
 	down := time.Since(b.downSince)
 	b.mu.Unlock()
 	if !was {
-		p.logf("scgrid: backend %s re-admitted after %s down", b.addr, down.Round(time.Millisecond))
+		p.event("backend_readmit", "backend", b.addr, "down", down.Round(time.Millisecond))
 	}
 }
 

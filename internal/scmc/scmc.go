@@ -26,6 +26,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"time"
 
@@ -60,8 +62,9 @@ type Options struct {
 	// Dial overrides the transport (tests inject failures or retain
 	// connections). Defaults to a net.Dialer.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
-	// Logf, when set, receives coordinator diagnostics.
-	Logf func(format string, args ...any)
+	// Log, when set, receives the coordinator's diagnostics as structured
+	// events, and is handed to the preflight grid for its own.
+	Log *slog.Logger
 	// Progress, when set, is called (at most every ~100ms) with the
 	// latest per-shard reports.
 	Progress func(shards []ShardStats)
@@ -169,9 +172,9 @@ func Verify(ctx context.Context, addrs []string, opts Options) Result {
 			return d.DialContext(ctx, "tcp", addr)
 		}
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	log := opts.Log
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 
 	// Build the target locally: the coordinator needs K for the hello
@@ -181,13 +184,13 @@ func Verify(ctx context.Context, addrs []string, opts Options) Result {
 	if err != nil {
 		return fail(err)
 	}
-	k := mc.NewProduct(target.Protocol, mc.ProductOptions{PoolSize: target.PoolSize, Generator: target.Generator}).Obs.K()
+	k := target.K()
 
 	// Preflight through scgrid: one synchronous probe round decides which
 	// backends participate. The healthy list, in address order, IS the
 	// shard identity list — every backend receives it verbatim in its
 	// hello, so all shards compute the same rendezvous partition.
-	grid, err := scgrid.New(addrs, scgrid.Config{ProbeInterval: -1, Seed: 1, Dial: dial, Logf: opts.Logf})
+	grid, err := scgrid.New(addrs, scgrid.Config{ProbeInterval: -1, Seed: 1, Dial: dial, Log: opts.Log})
 	if err != nil {
 		return fail(err)
 	}
@@ -203,7 +206,7 @@ func Verify(ctx context.Context, addrs []string, opts Options) Result {
 	if len(shardIDs) == 0 {
 		return fail(errors.New("scmc: no healthy backends"))
 	}
-	logf("scmc: %d/%d backends healthy, k=%d", len(shardIDs), len(addrs), k)
+	log.Info("scmc_preflight", "healthy", len(shardIDs), "backends", len(addrs), "k", k)
 
 	mode := scserve.ExploreModeFP
 	if opts.Exact {
@@ -244,12 +247,12 @@ func Verify(ctx context.Context, addrs []string, opts Options) Result {
 		go readLoop(i, conn, events)
 	}
 
-	return run(ctx, start, res, shards, events, opts, logf)
+	return run(ctx, start, res, shards, events, opts, log)
 }
 
 // run is the coordinator's central loop: route items, balance credits,
 // detect quiescence or failure, then conclude the grid.
-func run(ctx context.Context, start time.Time, res Result, shards []*shardConn, events *eventQueue, opts Options, logf func(string, ...any)) Result {
+func run(ctx context.Context, start time.Time, res Result, shards []*shardConn, events *eventQueue, opts Options, log *slog.Logger) Result {
 	stall := time.NewTimer(opts.StallTimeout)
 	defer stall.Stop()
 
@@ -359,7 +362,7 @@ func run(ctx context.Context, start time.Time, res Result, shards []*shardConn, 
 		case evViolation:
 			if viol == nil {
 				viol = &mc.Violation{Err: errors.New(ev.msg), Path: ev.path}
-				logf("scmc: shard %d reports violation at depth %d", ev.shard, len(ev.path))
+				log.Info("scmc_violation", "shard", ev.shard, "depth", len(ev.path))
 			}
 			beginEnd()
 		case evVerdict:
@@ -396,7 +399,7 @@ func run(ctx context.Context, start time.Time, res Result, shards []*shardConn, 
 			if !seeded {
 				if allReady(shards) {
 					seeded = true
-					logf("scmc: all %d shards ready, seeding shard 0", len(shards))
+					log.Info("scmc_seed", "shards", len(shards))
 					if err := route(0, []mc.Item{{Kind: mc.ItemWork, Peer: 0, Act: mc.ActClaim}}); err != nil {
 						return finishFail(err), true
 					}
@@ -404,11 +407,11 @@ func run(ctx context.Context, start time.Time, res Result, shards []*shardConn, 
 				return Result{}, false
 			}
 			if quiescent(shards) {
-				logf("scmc: grid quiescent (%d items relayed), concluding", res.Forwards)
+				log.Info("scmc_quiescent", "relayed", res.Forwards)
 				beginEnd()
 				return Result{}, false
 			}
-			maybeShed(shards, ev.shard, route, logf)
+			maybeShed(shards, ev.shard, route, log)
 		}
 		return Result{}, false
 	}
@@ -479,7 +482,7 @@ func quiescent(shards []*shardConn) bool {
 // maybeShed migrates ready work from the reporting shard to an idle one
 // when the queue imbalance is worth a round trip — the coordinator's
 // work-stealing lever for partitions that concentrate expansion work.
-func maybeShed(shards []*shardConn, from int, route func(int, []mc.Item) error, logf func(string, ...any)) {
+func maybeShed(shards []*shardConn, from int, route func(int, []mc.Item) error, log *slog.Logger) {
 	src := shards[from]
 	if src.last.QueueLen < 2*shedThreshold {
 		return
@@ -490,7 +493,7 @@ func maybeShed(shards []*shardConn, from int, route func(int, []mc.Item) error, 
 		}
 		if sc.last.Pending == 0 && sc.last.QueueLen == 0 {
 			n := int(src.last.QueueLen / 2)
-			logf("scmc: shedding %d jobs from shard %d to idle shard %d", n, from, target)
+			log.Info("scmc_shed", "jobs", n, "from", from, "to", target)
 			// A shed instruction is an ordinary routed item; the ledger
 			// accounts it like any other delivery.
 			_ = route(target, []mc.Item{{Kind: mc.ItemShed, Peer: from, N: n, Target: target}})

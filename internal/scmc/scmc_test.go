@@ -2,7 +2,9 @@ package scmc
 
 import (
 	"context"
+	"log/slog"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,8 +23,8 @@ func startBackend(t *testing.T, cfg scserve.Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = t.Logf
+	if cfg.Log == nil {
+		cfg.Log = testLog(t)
 	}
 	srv := scserve.New(cfg)
 	go srv.Serve(ln)
@@ -32,6 +34,18 @@ func startBackend(t *testing.T, cfg scserve.Config) string {
 		srv.Shutdown(ctx)
 	})
 	return ln.Addr().String()
+}
+
+// testLog returns a logger whose events go to t.Log.
+func testLog(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+type testWriter struct{ t *testing.T }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 func startBackends(t *testing.T, n int, cfg scserve.Config) []string {
@@ -73,7 +87,7 @@ func TestGridMatchesSingleNode(t *testing.T) {
 			Protocol:     "writethrough",
 			Params:       p,
 			StallTimeout: 20 * time.Second,
-			Logf:         t.Logf,
+			Log:          testLog(t),
 		})
 		if got.Verdict != mc.Verified {
 			t.Fatalf("%d backends: grid verdict = %v, want verified: %v", n, got.Verdict, got)
@@ -101,7 +115,7 @@ func TestGridExactModeMatches(t *testing.T) {
 		Params:       p,
 		Exact:        true,
 		StallTimeout: 20 * time.Second,
-		Logf:         t.Logf,
+		Log:          testLog(t),
 	})
 	if got.Verdict != mc.Verified {
 		t.Fatalf("grid verdict = %v, want verified: %v", got.Verdict, got)
@@ -127,7 +141,7 @@ func TestGridDetectsViolation(t *testing.T) {
 		Params:       p,
 		MaxDepth:     10,
 		StallTimeout: 20 * time.Second,
-		Logf:         t.Logf,
+		Log:          testLog(t),
 	})
 	if got.Verdict != mc.Violated {
 		t.Fatalf("grid verdict = %v, want violated: %v", got.Verdict, got)
@@ -170,7 +184,7 @@ func TestGridExceedsSingleNodeCap(t *testing.T) {
 		Params:            p,
 		MaxStatesPerShard: cap,
 		StallTimeout:      30 * time.Second,
-		Logf:              t.Logf,
+		Log:               testLog(t),
 	})
 	if got.Verdict != mc.Verified {
 		t.Fatalf("4-shard grid with per-shard cap %d = %v, want verified: %v", cap, got.Verdict, got)
@@ -229,7 +243,7 @@ func TestGridBackendDeathIsIncomplete(t *testing.T) {
 		Params:       trace.Params{Procs: 2, Blocks: 1, Values: 2},
 		StallTimeout: 20 * time.Second,
 		Dial:         dial,
-		Logf:         t.Logf,
+		Log:          testLog(t),
 		Progress:     progress,
 	})
 	select {
@@ -259,7 +273,7 @@ func TestGridNoBackends(t *testing.T) {
 	got := Verify(context.Background(), []string{addr}, Options{
 		Protocol: "writethrough",
 		Params:   trace.Params{Procs: 2, Blocks: 1, Values: 1},
-		Logf:     t.Logf,
+		Log:      testLog(t),
 	})
 	if got.Verdict != mc.Incomplete || got.Err == nil {
 		t.Fatalf("verdict = %v err = %v, want incomplete with error", got.Verdict, got.Err)
@@ -287,7 +301,7 @@ func TestSmokeGrid(t *testing.T) {
 		Protocol:     "serial",
 		Params:       p,
 		StallTimeout: 10 * time.Second,
-		Logf:         t.Logf,
+		Log:          testLog(t),
 	})
 	if got.Verdict != mc.Verified {
 		t.Fatalf("smoke grid verdict = %v: %v", got.Verdict, got)

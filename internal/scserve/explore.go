@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scverify/internal/mc"
-	"scverify/internal/observer"
 	"scverify/internal/registry"
 )
 
@@ -60,12 +59,8 @@ func (s *Server) runExploreSession(conn net.Conn, br *bufio.Reader, bw *bufio.Wr
 	if err != nil {
 		return fail("explore: " + err.Error())
 	}
-	pool := target.PoolSize
-	if pool == 0 {
-		pool = observer.DefaultPoolSize(target.Protocol)
-	}
-	if pool != h.K {
-		return fail(fmt.Sprintf("explore: hello k=%d but target %q has k=%d", h.K, eh.Protocol, pool))
+	if k := target.K(); k != h.K {
+		return fail(fmt.Sprintf("explore: hello k=%d but target %q has k=%d", h.K, eh.Protocol, k))
 	}
 
 	maxStates := eh.MaxStates
@@ -178,8 +173,7 @@ func (s *Server) runExploreSession(conn net.Conn, br *bufio.Reader, bw *bufio.Wr
 			x.Stop()
 			settle()
 			s.sessionsAborted.Add(1)
-			s.event("explore_abort", "session", id, "tenant", h.Tenant)
-			s.logf("scserve: %s: explore session aborted: %v", conn.RemoteAddr(), err)
+			s.event("explore_abort", "session", id, "tenant", h.Tenant, "err", err)
 			return false
 		}
 		switch typ {

@@ -115,11 +115,9 @@ type Config struct {
 	// sessions — a simulated per-state latency for tests (zero in
 	// production).
 	ExploreStepDelay time.Duration
-	// Logf, when set, receives connection-level diagnostics.
-	Logf func(format string, args ...any)
-	// Log, when set, receives structured connection-path events
-	// (session open/verdict/abort, drains, quota hits) with session ID
-	// and tenant attributes — the operator-facing counterpart of Logf.
+	// Log, when set, receives the server's diagnostics as structured
+	// events (session open/verdict/abort, read errors, drains, quota hits)
+	// with session ID and tenant attributes and, on failures, the error.
 	Log *slog.Logger
 }
 
@@ -314,12 +312,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
 // event emits one structured connection-path event when Config.Log is
 // set; args are alternating slog key/value pairs.
 func (s *Server) event(ev string, args ...any) {
@@ -407,7 +399,6 @@ func (s *Server) chargeTenant(tenant string, n int) bool {
 func (s *Server) Drain() {
 	if !s.drainMode.Swap(true) {
 		s.drains.Add(1)
-		s.logf("scserve: draining: refusing fresh hellos, still serving resumes")
 		s.event("drain")
 	}
 }
@@ -415,7 +406,6 @@ func (s *Server) Drain() {
 // Undrain returns a draining server to normal admission.
 func (s *Server) Undrain() {
 	if s.drainMode.Swap(false) {
-		s.logf("scserve: drain lifted")
 		s.event("undrain")
 	}
 }
@@ -653,7 +643,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		typ, payload, err := s.readFrame(conn, br)
 		if err != nil {
 			if err != io.EOF {
-				s.logf("scserve: %s: read: %v", conn.RemoteAddr(), err)
+				s.event("read_error", "remote", conn.RemoteAddr().String(), "err", err)
 			}
 			return
 		}
@@ -822,8 +812,7 @@ func (s *Server) runSession(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, h
 	// client picks up from there.
 	abort := func(err error) bool {
 		s.sessionsAborted.Add(1)
-		s.event("session_abort", "session", id, "tenant", h.Tenant)
-		s.logf("scserve: %s: session aborted: %v", conn.RemoteAddr(), err)
+		s.event("session_abort", "session", id, "tenant", h.Tenant, "err", err)
 		return false
 	}
 	src := &frameSource{s: s, conn: conn, br: br, bw: bw, tenant: h.Tenant}

@@ -134,7 +134,7 @@ func TestGridChaosSoakRegistry(t *testing.T) {
 		ProbeInterval: 100 * time.Millisecond, // re-admit the restarted backend quickly
 		ReadmitDelay:  100 * time.Millisecond,
 		Dial:          scgrid.Dialer(dialer.DialContext),
-		Logf:          t.Logf,
+		Log:           testLog(t),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package sctest
 
 import (
 	"errors"
+	"log/slog"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,7 +48,7 @@ func TestGridSmokeDrainBackend(t *testing.T) {
 		QueueWait:     5 * time.Second,
 		ProbeInterval: 25 * time.Millisecond,
 		ReadmitDelay:  50 * time.Millisecond,
-		Logf:          t.Logf,
+		Log:           testLog(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +154,7 @@ func TestGridRollingRestartSoak(t *testing.T) {
 		ProbeInterval: 50 * time.Millisecond,
 		ReadmitDelay:  100 * time.Millisecond,
 		Dial:          scgrid.Dialer(dialer.DialContext),
-		Logf:          t.Logf,
+		Log:           testLog(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,4 +357,16 @@ found:
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// testLog returns a logger whose events go to t.Log.
+func testLog(t *testing.T) *slog.Logger {
+	return slog.New(slog.NewTextHandler(testWriter{t}, nil))
+}
+
+type testWriter struct{ t *testing.T }
+
+func (w testWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

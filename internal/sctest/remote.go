@@ -79,12 +79,10 @@ func GridOpener(g *scgrid.Grid, opts ...CheckOpt) Opener {
 // observer runs over the recorded run and its descriptor stream is shipped
 // over one session.
 func (open Opener) CheckRun(run *protocol.Run, tgt registry.Target) error {
-	// Size the observer's ID pool the same way CheckRun does: the session
-	// header must announce the bandwidth bound k up front.
-	sizing := observer.New(run.Protocol, tgt.Generator(), observer.Config{PoolSize: tgt.PoolSize}, nil)
-	h := scserve.Header{K: sizing.K(), Params: run.Protocol.Params()}
+	// The session header announces the bandwidth bound k up front.
+	h := scserve.Header{K: tgt.K(), Params: run.Protocol.Params()}
 	return open.ship(h, func(emit func(descriptor.Symbol) error) error {
-		obs := observer.New(run.Protocol, tgt.Generator(), observer.Config{PoolSize: tgt.PoolSize}, emit)
+		obs := observer.New(run.Protocol, tgt.Generator, observer.Config{PoolSize: tgt.PoolSize}, emit)
 		for _, step := range run.Steps {
 			if err := obs.Step(step.Transition); err != nil {
 				return err

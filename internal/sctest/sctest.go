@@ -95,12 +95,9 @@ func (r Result) String() string {
 // CheckRun observes one recorded run, pipes the descriptor stream straight
 // into a fresh checker, and returns nil if the run is accepted.
 func CheckRun(run *protocol.Run, tgt registry.Target) error {
-	// The checker needs the observer's bandwidth bound, which depends only
-	// on the pool configuration; size a throwaway observer first.
-	sizing := observer.New(run.Protocol, tgt.Generator(), observer.Config{PoolSize: tgt.PoolSize}, nil)
-	chk := checker.New(sizing.K())
+	chk := checker.New(tgt.K())
 	chk.SetParams(run.Protocol.Params())
-	obs := observer.New(run.Protocol, tgt.Generator(), observer.Config{PoolSize: tgt.PoolSize}, chk.Step)
+	obs := observer.New(run.Protocol, tgt.Generator, observer.Config{PoolSize: tgt.PoolSize}, chk.Step)
 	for _, step := range run.Steps {
 		if err := obs.Step(step.Transition); err != nil {
 			return err

@@ -258,14 +258,12 @@ func FromStream(s descriptor.Stream, k int, opts Options) *Witness {
 // Record replays a run through a fresh observer, collecting the emitted
 // descriptor stream and the bandwidth bound it needs.
 func Record(run *protocol.Run, tgt registry.Target) (descriptor.Stream, int, error) {
-	sizing := observer.New(run.Protocol, tgt.Generator(), observer.Config{PoolSize: tgt.PoolSize}, nil)
-	k := sizing.K()
 	var stream descriptor.Stream
 	collect := func(sym descriptor.Symbol) error {
 		stream = append(stream, sym)
 		return nil
 	}
-	obs := observer.New(run.Protocol, tgt.Generator(), observer.Config{PoolSize: tgt.PoolSize}, collect)
+	obs := observer.New(run.Protocol, tgt.Generator, observer.Config{PoolSize: tgt.PoolSize}, collect)
 	for i, step := range run.Steps {
 		if err := obs.Step(step.Transition); err != nil {
 			return nil, 0, fmt.Errorf("witness: observe step %d: %w", i, err)
@@ -274,7 +272,7 @@ func Record(run *protocol.Run, tgt registry.Target) (descriptor.Stream, int, err
 	if err := obs.Finish(); err != nil {
 		return nil, 0, fmt.Errorf("witness: observe finish: %w", err)
 	}
-	return stream, k, nil
+	return stream, tgt.K(), nil
 }
 
 // FromRun observes a concrete protocol run and builds the witness for its
