@@ -63,14 +63,16 @@ lint:
 # protocols, plus the minimizer's 1-minimality/certification contract.
 # Regenerate goldens with: go test ./internal/witness -run Golden -update
 # Then the cycle checker's own witness output: the hashed cycles of long
-# directory streams, checked hop by hop against descriptor.Decode, and the
-# truncation of chains longer than the per-edge cap. Last, the hashed
-# observer output (symbols, keys, Finish) of every registry target, which
-# pins both ST-order serialization modes, and the queue-mode Finish order.
+# directory streams, checked hop by hop against descriptor.Decode, the
+# truncation of chains longer than the per-edge cap, and verdicts and
+# witnesses on adjacency rows of one to three 64-bit words. Last, the
+# hashed observer output (symbols, keys, Finish) of every registry target,
+# which pins both ST-order serialization modes, and the queue-mode Finish
+# order.
 witness:
 	$(GO) test -run='TestGoldenExplanations|TestMinimizedWitnessProperties' -count=1 ./internal/witness
 	$(GO) test -run='TestWitnessCorpusGolden' -count=1 ./internal/checker
-	$(GO) test -run='TestWitnessTruncatesLongChains' -count=1 ./internal/cycle
+	$(GO) test -run='TestWitnessTruncatesLongChains|TestBitRowsAcrossWordBoundary' -count=1 ./internal/cycle
 	$(GO) test -run='TestObserverStreamsGolden|TestQueueFinishEmitsEdgesFirst' -count=1 ./internal/observer
 
 # fuzz-burst: a short CI-budget run of each fuzz target; regressions in
@@ -94,6 +96,7 @@ fuzz-burst:
 	$(GO) test -run='^$$' -fuzz=FuzzMinimizer -fuzztime=$(FUZZTIME) ./internal/witness
 	$(GO) test -run='^$$' -fuzz=FuzzHistoryJSONL -fuzztime=$(FUZZTIME) ./internal/history
 	$(GO) test -run='^$$' -fuzz=FuzzJSONLMatchesOracle -fuzztime=$(FUZZTIME) ./internal/history
+	$(GO) test -run='^$$' -fuzz=FuzzLowerMatchesOracle -fuzztime=$(FUZZTIME) ./internal/history
 	$(GO) test -run='^$$' -fuzz=FuzzHistoryEDN -fuzztime=$(FUZZTIME) ./internal/history
 
 # smoke-serve: race-enabled client↔server smoke of the scserve session

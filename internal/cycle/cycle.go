@@ -6,14 +6,17 @@
 // (for edges (H,X) and (X,J), edge (H,J) is added), which preserves all
 // cycles among the surviving nodes.
 //
-// The representation is deliberately flat — an ID-to-slot table and a
-// dense adjacency matrix over at most k+2 slots — because the model
-// checker copies the automaton at every branch of the product-state
-// exploration: a copy is three slice copies.
+// The representation is deliberately flat — an ID-to-slot table and, per
+// slot, a row of ⌈(k+2)/64⌉ words whose set bits are the slot's successors
+// — because the model checker copies the automaton at every branch of the
+// product-state exploration: a copy is three slice copies, 336 bytes of
+// adjacency at k = 40. Contracting a node ORs its row into each
+// predecessor's, and the searches walk set bits only.
 package cycle
 
 import (
 	"fmt"
+	"math/bits"
 
 	"scverify/internal/descriptor"
 )
@@ -23,10 +26,11 @@ import (
 type Checker struct {
 	k int
 	n int // slot count = k+2 (at most k+1 active nodes)
+	w int // words per adjacency row = ⌈n/64⌉
 
-	owner   []int16 // ID (1..k+1) -> slot, -1 when unbound
-	idCount []int16 // per slot: IDs currently naming it; 0 = free slot
-	adj     []bool  // n×n adjacency; adj[f*n+t] means edge slot f -> slot t
+	owner   []int16  // ID (1..k+1) -> slot, -1 when unbound
+	idCount []int16  // per slot: IDs currently naming it; 0 = free slot
+	adj     []uint64 // n rows of w words; bit t of row f: edge slot f -> slot t
 
 	// Witness-mode bookkeeping (EnableWitness): node identities per slot,
 	// first-seen label per active edge, and contraction provenance chains.
@@ -53,12 +57,14 @@ type Stats struct {
 // New returns a cycle checker for k-graph descriptors (IDs 1..k+1).
 func New(k int) *Checker {
 	n := k + 2
+	w := (n + 63) / 64
 	c := &Checker{
 		k:       k,
 		n:       n,
+		w:       w,
 		owner:   make([]int16, k+2),
 		idCount: make([]int16, n),
-		adj:     make([]bool, n*n),
+		adj:     make([]uint64, n*w),
 	}
 	for i := range c.owner {
 		c.owner[i] = -1
@@ -102,7 +108,7 @@ func (c *Checker) Clone() *Checker {
 // modified once stored (noteContraction builds a new one or stores an
 // existing truncated one as is), so copies share them.
 func (c *Checker) CopyFrom(src *Checker) {
-	c.k, c.n = src.k, src.n
+	c.k, c.n, c.w = src.k, src.n, src.w
 	c.owner = append(c.owner[:0], src.owner...)
 	c.idCount = append(c.idCount[:0], src.idCount...)
 	c.adj = append(c.adj[:0], src.adj...)
@@ -176,10 +182,10 @@ func (c *Checker) Step(sym descriptor.Symbol) error {
 		if c.reachable(to, from) {
 			return c.reject(c.extractCycle(from, to, v))
 		}
-		if !c.adj[int(from)*c.n+int(to)] {
+		if row := c.row(int(from)); row[to>>6]&(1<<(to&63)) == 0 {
 			c.noteEdge(from, to, v.Label)
+			row[to>>6] |= 1 << (to & 63)
 		}
-		c.adj[int(from)*c.n+int(to)] = true
 	default:
 		return c.reject(fmt.Errorf("cycle: unknown symbol type %T", sym))
 	}
@@ -235,33 +241,34 @@ func (c *Checker) releaseID(id int) {
 	c.contractOut(int(slot))
 }
 
+// row returns the adjacency row of the slot: bit t is the edge slot -> t.
+func (c *Checker) row(slot int) []uint64 { return c.adj[slot*c.w : (slot+1)*c.w] }
+
 // contractOut removes the node at the slot, adding an edge (H,J) for every
-// pair of edges (H,node),(node,J). Cycles through the node are preserved
-// among its neighbours; H==J cannot occur because that cycle would already
-// have been rejected.
+// pair of edges (H,node),(node,J): each predecessor's row gains the slot's
+// row. Cycles through the node are preserved among its neighbours; H==J
+// cannot occur because that cycle would already have been rejected.
 func (c *Checker) contractOut(slot int) {
-	n := c.n
-	for p := 0; p < n; p++ {
-		if !c.adj[p*n+slot] {
+	out := c.row(slot)
+	word, bit := slot>>6, uint64(1)<<(slot&63)
+	fan := 0
+	for _, m := range out {
+		fan += bits.OnesCount64(m)
+	}
+	for p, at := 0, word; at < len(c.adj); p, at = p+1, at+c.w {
+		if c.adj[at]&bit == 0 {
 			continue
 		}
-		for s := 0; s < n; s++ {
-			if c.adj[slot*n+s] {
-				c.stats.Contractions++
-				if !c.adj[p*n+s] {
-					// A pre-existing direct edge (p,s) is a shorter witness;
-					// provenance is only recorded for genuinely new edges.
-					c.noteContraction(p, slot, s)
-				}
-				c.adj[p*n+s] = true
-			}
+		in := c.row(p)
+		c.stats.Contractions += fan
+		c.noteContraction(p, slot)
+		for i, m := range out {
+			in[i] |= m
 		}
+		in[word] &^= bit
 	}
 	c.clearWitness(slot)
-	for i := 0; i < n; i++ {
-		c.adj[i*n+slot] = false
-		c.adj[slot*n+i] = false
-	}
+	clear(out)
 }
 
 // reachable reports whether dst is reachable from src in the active graph.
@@ -269,36 +276,29 @@ func (c *Checker) reachable(src, dst int16) bool {
 	if src == dst {
 		return true
 	}
-	n := c.n
-	var seen [66]bool // n ≤ 66 would overflow; sized dynamically below if needed
-	var seenSlice []bool
-	if n <= len(seen) {
-		seenSlice = seen[:n]
+	var seenBuf [2]uint64
+	var stackBuf [128]int16
+	seen := seenBuf[:0]
+	if c.w <= len(seenBuf) {
+		seen = seenBuf[:c.w]
 	} else {
-		seenSlice = make([]bool, n)
+		seen = make([]uint64, c.w)
 	}
-	var stack [66]int16
-	var stk []int16
-	if n <= len(stack) {
-		stk = stack[:0]
-	} else {
-		stk = make([]int16, 0, n)
-	}
-	stk = append(stk, src)
-	seenSlice[src] = true
+	seen[src>>6] |= 1 << (src & 63)
+	dw, db := dst>>6, uint64(1)<<(dst&63)
+	stk := append(stackBuf[:0], src)
 	for len(stk) > 0 {
-		u := int(stk[len(stk)-1])
+		row := c.row(int(stk[len(stk)-1]))
 		stk = stk[:len(stk)-1]
-		row := c.adj[u*n : (u+1)*n]
-		for v, ok := range row {
-			if !ok || seenSlice[v] {
-				continue
+		if row[dw]&db != 0 {
+			return true
+		}
+		for i, m := range row {
+			m &^= seen[i]
+			seen[i] |= m
+			for ; m != 0; m &= m - 1 {
+				stk = append(stk, int16(i<<6|bits.TrailingZeros64(m)))
 			}
-			if int16(v) == dst {
-				return true
-			}
-			seenSlice[v] = true
-			stk = append(stk, int16(v))
 		}
 	}
 	return false

@@ -365,7 +365,8 @@ func TestWitnessTruncatesLongChains(t *testing.T) {
 func TestWitnessBookkeepingOnlyOnLiveEdges(t *testing.T) {
 	// Streams as in TestDifferentialOnEncodedDAGs, with labelled edges so
 	// that lab entries are nonzero: after every Step, lab and via may hold
-	// entries only where adj is set (clearWitness relies on it).
+	// entries only where an adjacency bit is set (clearWitness relies on
+	// it).
 	kinds := []graph.EdgeKind{graph.Inheritance, graph.ProgramOrder, graph.StoreOrder, graph.Forced, graph.ProgramOrder | graph.StoreOrder}
 	rng := rand.New(rand.NewSource(12))
 	contractions := 0
@@ -389,11 +390,14 @@ func TestWitnessBookkeepingOnlyOnLiveEdges(t *testing.T) {
 			if err := c.Step(sym); err != nil {
 				t.Fatalf("DAG %d: encoded DAG rejected: %v", i, err)
 			}
-			for key, live := range c.adj {
-				_, hasVia := c.via[int32(key)]
-				if !live && (c.lab[key] != 0 || hasVia) {
-					t.Fatalf("DAG %d symbol %d: absent edge %d→%d keeps lab %d, via %v",
-						i, j, key/c.n, key%c.n, c.lab[key], hasVia)
+			for f := 0; f < c.n; f++ {
+				for to := 0; to < c.n; to++ {
+					key := c.edgeKey(f, to)
+					_, hasVia := c.via[key]
+					if c.row(f)[to>>6]&(1<<(to&63)) == 0 && (c.lab[key] != 0 || hasVia) {
+						t.Fatalf("DAG %d symbol %d: absent edge %d→%d keeps lab %d, via %v",
+							i, j, f, to, c.lab[key], hasVia)
+					}
 				}
 			}
 		}
@@ -401,5 +405,144 @@ func TestWitnessBookkeepingOnlyOnLiveEdges(t *testing.T) {
 	}
 	if contractions == 0 {
 		t.Error("no stream contracted a node")
+	}
+}
+
+func TestStateKeyWideIDs(t *testing.T) {
+	// At k = 300, IDs 1 and 257 share their low byte. With one byte per
+	// representative, nodes {1} and {257} with the edge 1→257 had the key
+	// of the same nodes with the edge 257→1, although a further edge 1→257
+	// closes a cycle only in the second.
+	a, b := New(300), New(300)
+	for _, sym := range stream(node(1), node(257), edge(1, 257)) {
+		_ = a.Step(sym)
+	}
+	for _, sym := range stream(node(1), node(257), edge(257, 1)) {
+		_ = b.Step(sym)
+	}
+	if string(a.StateKey()) == string(b.StateKey()) {
+		t.Error("opposite edges between IDs 1 and 257 share a key")
+	}
+	if a.Step(edge(1, 257)) != nil || b.Step(edge(1, 257)) == nil {
+		t.Fatal("the edge 1→257 must close a cycle in the second state only")
+	}
+	// One byte per representative while the IDs fit in one, two beyond.
+	for k, want := range map[int]int{254: 255, 255: 2 * 256, 300: 2 * 301} {
+		if got := len(New(k).StateKey()); got != want {
+			t.Errorf("k=%d: empty key is %d bytes, want %d", k, got, want)
+		}
+	}
+}
+
+// wideStream returns a stream that first binds all of the IDs 1..k+1 and
+// then keeps most of them bound: node symbols recycle IDs (contracting
+// their holders), add-ID symbols alias them, and edges run from older to
+// newer nodes, so the graph stays acyclic. Arbitrary edges follow, which
+// soon close a cycle.
+func wideStream(rng *rand.Rand, k, acyclic, arbitrary int) descriptor.Stream {
+	rank := make([]int, k+2) // creation rank of each ID's holder; 0 when unbound
+	var s descriptor.Stream
+	bind := func(id int) {
+		rank[id] = len(s) + 1
+		s = append(s, descriptor.Node{ID: id})
+	}
+	for _, id := range rng.Perm(k + 1) {
+		bind(id + 1)
+	}
+	label := func() descriptor.EdgeLabel { return descriptor.EdgeLabel(rng.Intn(8)) }
+	for len(s) < acyclic {
+		a, b := 1+rng.Intn(k+1), 1+rng.Intn(k+1)
+		switch r := rng.Intn(20); {
+		case r < 12 && rank[a] != 0 && rank[b] != 0 && rank[a] != rank[b]:
+			if rank[a] > rank[b] {
+				a, b = b, a
+			}
+			s = append(s, descriptor.Edge{From: a, To: b, Label: label()})
+		case r < 19:
+			bind(a)
+		default:
+			s = append(s, descriptor.AddID{Existing: a, New: b})
+			rank[b] = rank[a]
+		}
+	}
+	for i := 0; i < arbitrary; i++ {
+		s = append(s, descriptor.Edge{From: 1 + rng.Intn(k+1), To: 1 + rng.Intn(k+1), Label: label()})
+	}
+	return s
+}
+
+func TestBitRowsAcrossWordBoundary(t *testing.T) {
+	// Adjacency rows of one, two and three words, with more than 64 nodes
+	// active at once from k = 64 on: plain and witness mode must reject
+	// exactly at the first symbol whose prefix decodes to a cyclic graph,
+	// and every hop of a witness must be an edge of that decoded prefix.
+	rng := rand.New(rand.NewSource(13))
+	for _, k := range []int{62, 63, 64, 65, 130} {
+		rejections, maxActive := 0, 0
+		for i := 0; i < 12; i++ {
+			s := wideStream(rng, k, 1000+rng.Intn(2000), 40*(i%2))
+			at := -1
+			for _, witness := range []bool{false, true} {
+				c := New(k)
+				if witness {
+					c.EnableWitness()
+				}
+				var err error
+				j := 0
+				for ; j < len(s) && err == nil; j++ {
+					err = c.Step(s[j])
+				}
+				maxActive = max(maxActive, c.Stats().MaxActive)
+				if err == nil {
+					if !descriptor.Decode(s).IsAcyclic() {
+						t.Fatalf("k=%d stream %d witness=%v: cyclic stream accepted", k, i, witness)
+					}
+					continue
+				}
+				if !witness {
+					at = j - 1
+					rejections++
+				} else if j-1 != at {
+					t.Fatalf("k=%d stream %d: witness mode rejects at symbol %d, plain mode at %d", k, i, j-1, at)
+				}
+				d := descriptor.Decode(s[:j])
+				if d.IsAcyclic() || !descriptor.Decode(s[:j-1]).IsAcyclic() {
+					t.Fatalf("k=%d stream %d witness=%v: rejected at symbol %d, not where the decoded graph turns cyclic: %v", k, i, witness, j-1, err)
+				}
+				var ce *CycleError
+				if !errors.As(err, &ce) {
+					t.Fatalf("k=%d stream %d: rejection %v is not a CycleError", k, i, err)
+				}
+				if witness {
+					checkHops(t, d, ce)
+				}
+			}
+		}
+		t.Logf("k=%d: %d of 12 streams rejected, up to %d nodes active", k, rejections, maxActive)
+		if rejections == 0 || k >= 64 && maxActive <= 64 {
+			t.Errorf("k=%d: %d rejections, at most %d nodes active", k, rejections, maxActive)
+		}
+	}
+}
+
+// checkHops checks that consecutive concrete hops of the witness cycle,
+// cyclically, are edges of the decoded graph of the hop's label kind.
+func checkHops(t *testing.T, d descriptor.Decoded, ce *CycleError) {
+	t.Helper()
+	edges := make(map[descriptor.DecodedEdge]bool, len(d.Edges))
+	for _, e := range d.Edges {
+		edges[e] = true
+	}
+	if ce.Len() == 0 {
+		t.Fatalf("witness-mode rejection without hops: %v", ce)
+	}
+	for i, h := range ce.Hops {
+		next := ce.Hops[(i+1)%len(ce.Hops)].Node
+		if h.Node.Seq < 0 || next.Seq < 0 {
+			continue
+		}
+		if e := (descriptor.DecodedEdge{From: h.Node.Seq, To: next.Seq, Kind: h.Label.Kind()}); !edges[e] {
+			t.Fatalf("hop %d: %v ─%s→ %v is not a decoded edge\ncycle: %s", i, h.Node, h.Label, next, ce)
+		}
 	}
 }

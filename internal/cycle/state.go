@@ -16,7 +16,9 @@ func (c *Checker) StateKeyRenamed(rename []int) []byte {
 }
 
 // AppendStateKeyRenamed appends StateKeyRenamed(rename) to dst without
-// allocating (beyond growing dst) for up to 64 slots.
+// allocating (beyond growing dst) for up to 64 slots. A representative is
+// one byte while the IDs 1..k+1 fit in one (k ≤ 254) and two, big-endian,
+// beyond, so that IDs 1 and 257 never encode alike.
 func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 	if c.rejected != nil {
 		return append(dst, 0xff)
@@ -43,10 +45,15 @@ func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 			rep[slot] = m
 		}
 	}
-	// ID ownership in canonical ID order: position i-1 holds the
+	// ID ownership in canonical ID order: entry i-1 holds the
 	// representative of canonical ID i's node (0 when unbound).
+	wide := c.k+1 > 0xff
+	width := 1
+	if wide {
+		width = 2
+	}
 	start := len(dst)
-	for id := 1; id <= c.k+1; id++ {
+	for i := 0; i < (c.k+1)*width; i++ {
 		dst = append(dst, 0)
 	}
 	for id := 1; id <= c.k+1; id++ {
@@ -55,7 +62,11 @@ func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 			if rename != nil {
 				m = rename[id]
 			}
-			dst[start+m-1] = byte(rep[s])
+			at, r := start+(m-1)*width, rep[s]
+			if wide {
+				dst[at], at = byte(r>>8), at+1
+			}
+			dst[at] = byte(r)
 		}
 	}
 	// Edges as representative pairs in lexicographic order: visit slots
@@ -70,9 +81,13 @@ func (c *Checker) AppendStateKeyRenamed(dst []byte, rename []int) []byte {
 		order[i] = s
 	}
 	for _, f := range order {
-		row := c.adj[f*n : (f+1)*n]
+		row := c.row(f)
 		for _, t := range order {
-			if row[t] {
+			switch {
+			case row[t>>6]&(1<<(t&63)) == 0:
+			case wide:
+				dst = append(dst, byte(rep[f]>>8), byte(rep[f]), byte(rep[t]>>8), byte(rep[t]))
+			default:
 				dst = append(dst, byte(rep[f]), byte(rep[t]))
 			}
 		}

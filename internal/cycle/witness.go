@@ -2,6 +2,7 @@ package cycle
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"scverify/internal/descriptor"
@@ -126,12 +127,26 @@ func (c *Checker) noteEdge(f, t int16, label descriptor.EdgeLabel) {
 	c.lab[c.edgeKey(int(f), int(t))] = uint8(label)
 }
 
-// noteContraction records provenance for edge (p,s) created by contracting
-// the node at slot out of the path p → slot → s.
-func (c *Checker) noteContraction(p, slot, s int) {
+// noteContraction records provenance for each edge p → s that contracting
+// the node at slot out of the paths p → slot → s creates (a pre-existing
+// direct edge is a shorter witness and keeps its own), then drops the
+// bookkeeping of p → slot, which the contraction removes.
+func (c *Checker) noteContraction(p, slot int) {
 	if !c.witness {
 		return
 	}
+	in := c.row(p)
+	for i, m := range c.row(slot) {
+		for fresh := m &^ in[i]; fresh != 0; fresh &= fresh - 1 {
+			c.noteChain(p, slot, i<<6|bits.TrailingZeros64(fresh))
+		}
+	}
+	c.dropWitness(c.edgeKey(p, slot))
+}
+
+// noteChain records the provenance of edge (p,s): the chain of p → slot,
+// the contracted node, then the chain of slot → s.
+func (c *Checker) noteChain(p, slot, s int) {
 	key := c.edgeKey(p, s)
 	c.lab[key] = c.lab[c.edgeKey(p, slot)]
 	pre := c.via[c.edgeKey(p, slot)]
@@ -153,22 +168,24 @@ func (c *Checker) noteContraction(p, slot, s int) {
 	c.via[key] = chain
 }
 
-// clearWitness drops witness bookkeeping for every edge touching the slot,
-// before the slot's row and column of adj are cleared. It relies on the
-// invariant that lab and via hold entries only for live edges, so it visits
-// only those.
+// clearWitness drops the witness bookkeeping of the slot's outgoing edges
+// before its row is cleared; noteContraction has dropped that of its
+// incoming ones. It relies on the invariant that lab and via hold entries
+// only for live edges, so it visits only the row's set bits.
 func (c *Checker) clearWitness(slot int) {
 	if !c.witness {
 		return
 	}
-	for i := 0; i < c.n; i++ {
-		for _, k := range [2]int32{c.edgeKey(i, slot), c.edgeKey(slot, i)} {
-			if c.adj[k] {
-				c.lab[k] = 0
-				delete(c.via, k)
-			}
+	for i, m := range c.row(slot) {
+		for ; m != 0; m &= m - 1 {
+			c.dropWitness(c.edgeKey(slot, i<<6|bits.TrailingZeros64(m)))
 		}
 	}
+}
+
+func (c *Checker) dropWitness(key int32) {
+	c.lab[key] = 0
+	delete(c.via, key)
 }
 
 // extractCycle builds the CycleError for the closing edge symbol e, whose
@@ -241,11 +258,15 @@ func (c *Checker) findPath(src, dst int16) []int16 {
 			}
 			return path
 		}
-		row := c.adj[int(u)*n : (int(u)+1)*n]
-		for v := n - 1; v >= 0; v-- { // push high first so low slots pop first
-			if row[v] && parent[v] < 0 {
-				parent[v] = u
-				stack = append(stack, int16(v))
+		row := c.row(int(u))
+		for i := len(row) - 1; i >= 0; i-- { // push high first so low slots pop first
+			for m := row[i]; m != 0; {
+				b := 63 - bits.LeadingZeros64(m)
+				m &^= 1 << b
+				if v := int16(i<<6 | b); parent[v] < 0 {
+					parent[v] = u
+					stack = append(stack, v)
+				}
 			}
 		}
 	}

@@ -87,31 +87,35 @@ func (l EdgeLabel) Kind() graph.EdgeKind {
 // of edge labels denoting it, preferring the combined po-X labels of the
 // observer alphabet. A zero kind yields a single None label.
 func LabelsForKind(k graph.EdgeKind) []EdgeLabel {
+	return appendLabels(nil, k)
+}
+
+// appendLabels appends LabelsForKind(k) to dst.
+func appendLabels(dst []EdgeLabel, k graph.EdgeKind) []EdgeLabel {
 	if k == 0 {
-		return []EdgeLabel{None}
+		return append(dst, None)
 	}
-	var out []EdgeLabel
 	po := k&graph.ProgramOrder != 0
-	rest := k &^ graph.ProgramOrder
-	emit := func(single, combined EdgeLabel, bit graph.EdgeKind) {
-		if rest&bit == 0 {
-			return
-		}
-		rest &^= bit
-		if po {
-			out = append(out, combined)
-			po = false
-		} else {
-			out = append(out, single)
+	for _, c := range [...]struct {
+		bit              graph.EdgeKind
+		single, combined EdgeLabel
+	}{
+		{graph.StoreOrder, STo, POSTo},
+		{graph.Inheritance, Inh, POInh},
+		{graph.Forced, Forced, POForced},
+	} {
+		switch {
+		case k&c.bit == 0:
+		case po:
+			dst, po = append(dst, c.combined), false
+		default:
+			dst = append(dst, c.single)
 		}
 	}
-	emit(STo, POSTo, graph.StoreOrder)
-	emit(Inh, POInh, graph.Inheritance)
-	emit(Forced, POForced, graph.Forced)
 	if po {
-		out = append(out, PO)
+		dst = append(dst, PO)
 	}
-	return out
+	return dst
 }
 
 // Symbol is one element of a k-graph descriptor string.

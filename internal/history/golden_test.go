@@ -15,7 +15,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixture loads an example history by extension-dispatched format.
-func fixture(t *testing.T, name string) *History {
+func fixture(t testing.TB, name string) *History {
 	t.Helper()
 	path := filepath.Join("..", "..", "examples", "histories", name)
 	data, err := os.ReadFile(path)

@@ -5,7 +5,6 @@ import (
 
 	"scverify/internal/checker"
 	"scverify/internal/descriptor"
-	"scverify/internal/graph"
 	"scverify/internal/trace"
 )
 
@@ -112,17 +111,18 @@ func Lower(h *History) (*Lowering, error) {
 
 	// Pass 2: select the lowered ops and enforce write-value uniqueness.
 	kept := make([]int, 0, len(ops))
-	writeOf := make(map[keyValue]int) // (key, value) → ops index of its write
+	writeOf := make(map[keyValue]int32) // (key, value) → trace position of its write
 	for i, op := range ops {
 		switch {
 		case op.F == Write && op.Outcome == OK,
 			op.F == Write && op.Outcome == Info && observed[keyValue{op.Key, op.Value}]:
 			if j, dup := writeOf[keyValue{op.Key, op.Value}]; dup {
+				first := ops[kept[j]]
 				return nil, errAt(op.Invoke,
 					"%s duplicates the value of %s (event %d): history checking requires unique write values per key",
-					op, ops[j], ops[j].Invoke)
+					op, first, first.Invoke)
 			}
-			writeOf[keyValue{op.Key, op.Value}] = i
+			writeOf[keyValue{op.Key, op.Value}] = int32(len(kept))
 			kept = append(kept, i)
 		case op.F == Write && op.Outcome == Info:
 			l.Dropped.UnobservedWrites++
@@ -137,115 +137,111 @@ func Lower(h *History) (*Lowering, error) {
 		}
 	}
 
-	// Pass 3: intern processes, keys and values densely and build the
-	// trace. Interning follows first appearance in the kept sequence, so
-	// the lowering is deterministic in the history alone.
-	l.Keys = []string{""}
-	l.Procs = []int{0}
-	l.Values = []int64{0}
-	blockOf := make(map[string]trace.BlockID)
-	procOf := make(map[int]trace.ProcID)
-	valueOf := make(map[int64]trace.Value)
-	internBlock := func(key string) trace.BlockID {
-		b, ok := blockOf[key]
-		if !ok {
-			l.Keys = append(l.Keys, key)
-			b = trace.BlockID(len(l.Keys) - 1)
-			blockOf[key] = b
-		}
-		return b
+	// Pass 3: intern processes, keys and values densely, build the trace,
+	// and lay out the annotated constraint graph as it goes: program order,
+	// per-key ST order, value-matched inheritance and the two forced-edge
+	// rules, each edge at its later end. An edge whose later end is still
+	// ahead waits in a book: each store, and each key's initial value ⊥,
+	// has one holding its ST successor and the loads that read it before
+	// that successor, linked through next. Interning follows first
+	// appearance in the kept sequence, so the lowering is deterministic in
+	// the history alone.
+	type book struct{ succ, head, tail int32 }
+	n := int32(len(kept))
+	books := make([]book, n) // per store position; each key's ⊥ book follows
+	next := make([]int32, n) // a waiting load's successor in its book
+	for i := range books {
+		books[i] = book{-1, -1, -1}
 	}
-	internProc := func(p int) trace.ProcID {
-		pid, ok := procOf[p]
-		if !ok {
-			l.Procs = append(l.Procs, p)
-			pid = trace.ProcID(len(l.Procs) - 1)
-			procOf[p] = pid
-		}
-		return pid
-	}
-	internValue := func(v int64) trace.Value {
-		val, ok := valueOf[v]
-		if !ok {
-			l.Values = append(l.Values, v)
-			val = trace.Value(len(l.Values) - 1)
-			valueOf[v] = val
-		}
-		return val
-	}
+	lastOf := []int32{-1}    // per process: its latest position
+	lastStore := []int32{-1} // per key: the book of its latest store, or its ⊥ book
+	l.Keys, l.Procs, l.Values = []string{""}, []int{0}, []int64{0}
+	blockOf, procOf, valueOf := map[string]int{}, map[int]int{}, map[int64]int{}
 	// Writes intern their values first so every store value is stable
 	// whether or not any phantom read values interleave.
 	for _, i := range kept {
 		if ops[i].F == Write {
-			internValue(ops[i].Value)
+			intern(valueOf, &l.Values, ops[i].Value)
 		}
 	}
-	l.Trace = make(trace.Trace, 0, len(kept))
-	l.OpIndex = make([]int, 0, len(kept))
-	for _, i := range kept {
-		op := ops[i]
-		p, b := internProc(op.Process), internBlock(op.Key)
+	l.Trace = make(trace.Trace, 0, n)
+	l.OpIndex = kept
+	adj := descriptor.NewAdjacency(len(kept))
+	for i, oi := range kept {
+		op, pos := ops[oi], int32(i)
+		p := trace.ProcID(intern(procOf, &l.Procs, op.Process))
+		b := trace.BlockID(intern(blockOf, &l.Keys, op.Key))
+		if int(p) == len(lastOf) {
+			lastOf = append(lastOf, -1)
+		}
+		if int(b) == len(lastStore) {
+			lastStore = append(lastStore, int32(len(books)))
+			books = append(books, book{-1, -1, -1})
+		}
+		lowered := trace.LD(p, b, trace.Bottom)
 		switch {
 		case op.F == Write:
-			l.Trace = append(l.Trace, trace.ST(p, b, internValue(op.Value)))
+			lowered = trace.ST(p, b, trace.Value(intern(valueOf, &l.Values, op.Value)))
 		case op.HasValue:
-			l.Trace = append(l.Trace, trace.LD(p, b, internValue(op.Value)))
-		default:
-			l.Trace = append(l.Trace, trace.LD(p, b, trace.Bottom))
+			lowered = trace.LD(p, b, trace.Value(intern(valueOf, &l.Values, op.Value)))
 		}
-		l.OpIndex = append(l.OpIndex, i)
+		l.Trace = append(l.Trace, lowered)
+		adj.AddNode(lowered)
+		if prev := lastOf[p]; prev >= 0 {
+			adj.AddEdge(int(prev), i, descriptor.PO)
+		}
+		lastOf[p] = pos
+		if op.F == Write {
+			prev := lastStore[b]
+			if prev < n {
+				adj.AddEdge(int(prev), i, descriptor.STo)
+			}
+			books[prev].succ = pos
+			for j := books[prev].head; j >= 0; j = next[j] {
+				adj.AddEdge(int(j), i, descriptor.Forced) // §3.1 constraint 5(a), or 5(b) after ⊥
+			}
+			for j := books[i].head; j >= 0; j = next[j] {
+				adj.AddEdge(i, int(j), descriptor.Inh) // reads lowered before their write
+			}
+			lastStore[b] = pos
+			continue
+		}
+		src := n + int32(b) - 1 // a ⊥ read waits on its key's ⊥ book
+		if op.HasValue {
+			var ok bool
+			if src, ok = writeOf[keyValue{op.Key, op.Value}]; !ok {
+				continue // phantom read: no inheritance edge, checker rejects
+			}
+		}
+		if src < pos {
+			adj.AddEdge(int(src), i, descriptor.Inh)
+		}
+		bk := &books[src]
+		if bk.succ >= 0 {
+			adj.AddEdge(i, int(bk.succ), descriptor.Forced)
+			continue
+		}
+		if next[i] = -1; bk.head < 0 {
+			bk.head = pos
+		} else {
+			next[bk.tail] = pos
+		}
+		bk.tail = pos
 	}
 	l.Params = l.Trace.Params()
-
-	// Pass 4: the annotated constraint graph — program order, per-key ST
-	// order, value-matched inheritance, and the two forced-edge rules.
-	g := graph.New(l.Trace)
-	lastOfProc := make(map[trace.ProcID]int)
-	lastStore := make(map[trace.BlockID]int)
-	firstStore := make(map[trace.BlockID]int)
-	stSucc := make(map[int]int)
-	type blockValue struct {
-		block trace.BlockID
-		value trace.Value
-	}
-	storeAt := make(map[blockValue]int) // (block, value) → trace position
-	for i, op := range l.Trace {
-		if prev, ok := lastOfProc[op.Proc]; ok {
-			g.AddEdge(prev, i, graph.ProgramOrder)
-		}
-		lastOfProc[op.Proc] = i
-		if op.IsStore() {
-			if prev, ok := lastStore[op.Block]; ok {
-				g.AddEdge(prev, i, graph.StoreOrder)
-				stSucc[prev] = i
-			} else {
-				firstStore[op.Block] = i
-			}
-			lastStore[op.Block] = i
-			storeAt[blockValue{op.Block, op.Value}] = i
-		}
-	}
-	for i, op := range l.Trace {
-		if !op.IsLoad() {
-			continue
-		}
-		if op.Value == trace.Bottom {
-			if fs, ok := firstStore[op.Block]; ok {
-				g.AddEdge(i, fs, graph.Forced) // §3.1 constraint 5(b)
-			}
-			continue
-		}
-		st, ok := storeAt[blockValue{op.Block, op.Value}]
-		if !ok {
-			continue // phantom read: no inheritance edge, checker rejects
-		}
-		g.AddEdge(st, i, graph.Inheritance)
-		if succ, ok := stSucc[st]; ok {
-			g.AddEdge(i, succ, graph.Forced) // §3.1 constraint 5(a)
-		}
-	}
-	l.Stream, l.K = descriptor.EncodeAuto(g)
+	l.Stream, l.K = adj.Encode()
 	return l, nil
+}
+
+// intern returns v's dense index in names, appending it on first sight.
+func intern[V comparable](index map[V]int, names *[]V, v V) int {
+	i, ok := index[v]
+	if !ok {
+		*names = append(*names, v)
+		i = len(*names) - 1
+		index[v] = i
+	}
+	return i
 }
 
 // Check streams the lowered descriptor through a fresh checker and

@@ -189,9 +189,9 @@ const notCopiedMark = "not copied: destination-owned"
 
 // lintCopyFromSource checks a CopyFrom method reads every field of its
 // source, by the same mention rules as lintCloneReceiver, except fields
-// marked notCopiedMark. The source is the parameter when it has the
-// receiver's type; when the parameter is an interface, it is the variable
-// the body type-asserts it into (`s := src.(*T)`).
+// marked notCopiedMark. The source is the parameter, which must have the
+// receiver's own type: from any other type the rule cannot tell which
+// source fields the copy reads, so such a CopyFrom is itself a finding.
 func lintCopyFromSource(p *Package, fd *ast.FuncDecl) []Finding {
 	if fd.Recv == nil || len(fd.Recv.List) != 1 || fd.Type.Params == nil || len(fd.Type.Params.List) != 1 {
 		return nil
@@ -201,12 +201,13 @@ func lintCopyFromSource(p *Package, fd *ast.FuncDecl) []Finding {
 	if len(param.Names) != 1 || sn == "" {
 		return nil
 	}
-	src := param.Names[0].Name
-	if baseTypeIdent(param.Type) != sn {
-		src = assertedVar(fd.Body, src, sn)
+	if pt := baseTypeIdent(param.Type); pt != sn {
+		return []Finding{{Rule: RuleCloneUnread, Pos: p.Fset.Position(fd.Pos()), Msg: fmt.Sprintf(
+			"CopyFrom method on %s takes a %s, not its own type: the fields it reads from its source cannot be checked",
+			sn, pt)}}
 	}
 	var missing []string
-	for _, f := range unmentionedFields(p, fd.Body, src, sn) {
+	for _, f := range unmentionedFields(p, fd.Body, param.Names[0].Name, sn) {
 		if !strings.Contains(p.FieldDocs[sn][f], notCopiedMark) {
 			missing = append(missing, f)
 		}
@@ -217,29 +218,6 @@ func lintCopyFromSource(p *Package, fd *ast.FuncDecl) []Finding {
 	return []Finding{{Rule: RuleCloneUnread, Pos: p.Fset.Position(fd.Pos()), Msg: fmt.Sprintf(
 		"CopyFrom method on %s never reads field(s) %s of its source: they cannot have been copied",
 		sn, strings.Join(missing, ", "))}}
-}
-
-// assertedVar returns the variable that body assigns the type assertion
-// v.(*sn) or v.(sn) to, "" when there is none.
-func assertedVar(body *ast.BlockStmt, v, sn string) string {
-	found := ""
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || found != "" || len(as.Rhs) != 1 || len(as.Lhs) == 0 {
-			return found == ""
-		}
-		ta, ok := as.Rhs[0].(*ast.TypeAssertExpr)
-		if !ok || ta.Type == nil || baseTypeIdent(ta.Type) != sn {
-			return true
-		}
-		if x, ok := ta.X.(*ast.Ident); ok && x.Name == v {
-			if id, ok := as.Lhs[0].(*ast.Ident); ok {
-				found = id.Name
-			}
-		}
-		return true
-	})
-	return found
 }
 
 // unmentionedFields lists, sorted, the fields of struct sn that body never

@@ -167,9 +167,9 @@ type ring struct {
 
 func (r *ring) Len() int { return len(r.items) }
 
-// CopyFrom type-asserts its interface parameter back to *ring but never
-// reads head. [SV003]
-func (r *ring) CopyFrom(src source) { // want "CopyFrom method on ring never reads field\(s\) head of its source"
+// CopyFrom takes an interface in place of its own type, so which source
+// fields it reads cannot be checked. [SV003]
+func (r *ring) CopyFrom(src source) { // want "CopyFrom method on ring takes a source, not its own type"
 	s := src.(*ring)
 	r.items = append(r.items[:0], s.items...)
 }
